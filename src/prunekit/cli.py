@@ -311,17 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a config file supplies defaults; explicit flags win
-    if "--config" in argv:
-        at = argv.index("--config")
-        overrides = ExperimentConfig.from_file(argv[at + 1])
-        extra = []
-        for key, value in overrides.items():
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv:
-                extra += [flag, value]
-        argv = argv[:at] + argv[at + 2:] + extra
     try:
+        # a config file supplies defaults; explicit flags win
+        if "--config" in argv:
+            at = argv.index("--config")
+            if at + 1 == len(argv):
+                raise DataError("--config needs a file path")
+            overrides = ExperimentConfig.from_file(argv[at + 1])
+            extra = []
+            for key, value in overrides.items():
+                flag = "--" + key.replace("_", "-")
+                if flag not in argv:
+                    extra += [flag, value]
+            argv = argv[:at] + argv[at + 2:] + extra
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -83,11 +83,11 @@ def suite_cases() -> dict:
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         labels = rng.integers(0, 3, size=4)
         def loss(tape):
-            return joint_loss(reconstruction_loss(fb, fp, tape),
-                              correlation_loss(fb, fp, tape),
-                              T.softmax_cross_entropy(logits, labels, tape),
-                              LossWeights(0.5, 1.5), frozenset("rsc"),
-                              tape).total_tensor
+            total, _ = joint_loss(reconstruction_loss(fb, fp, tape),
+                                  correlation_loss(fb, fp, tape),
+                                  T.softmax_cross_entropy(logits, labels, tape),
+                                  LossWeights(0.5, 1.5), frozenset("rsc"), tape)
+            return total
         return loss, [fp, logits]
 
     return {

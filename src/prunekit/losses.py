@@ -15,7 +15,7 @@ Batched inputs are averaged per example, then over the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ class LossBreakdown:
     l_s: float
     l_c: float
     total: float
-    total_tensor: Optional[Tensor] = field(default=None, repr=False, compare=False)
 
 
 def _as_batched(name: str, f: Tensor) -> np.ndarray:
@@ -69,7 +68,8 @@ def reconstruction_loss(f_base: Tensor, f_pruned: Tensor,
     if tape is not None:
         def bw(g):
             gp = g * (fp - fb) / (t_norm * bsz)
-            return (-gp).reshape(f_base.shape), gp.reshape(f_pruned.shape)
+            return ((-gp).reshape(f_base.shape) if f_base.requires_grad else None,
+                    gp.reshape(f_pruned.shape) if f_pruned.requires_grad else None)
         tape.record(out, (f_base, f_pruned), bw)
     return out
 
@@ -98,9 +98,12 @@ def correlation_loss(f_base: Tensor, f_pruned: Tensor,
         def bw(g):
             # d||A - FF^T||^2 / dF = -4 (A - FF^T) F for symmetric difference
             c = g * coef / bsz
-            gp = -4.0 * c * (df @ fp2 + fp2 @ ds)
-            gb = 4.0 * c * (df @ fb2 + fb2 @ ds)
-            return gb.reshape(f_base.shape), gp.reshape(f_pruned.shape)
+            gb = gp = None
+            if f_pruned.requires_grad:
+                gp = (-4.0 * c * (df @ fp2 + fp2 @ ds)).reshape(f_pruned.shape)
+            if f_base.requires_grad:
+                gb = (4.0 * c * (df @ fb2 + fb2 @ ds)).reshape(f_base.shape)
+            return gb, gp
         tape.record(out, (f_base, f_pruned), bw)
     return out
 
@@ -111,10 +114,14 @@ def classification_loss(net_pruned: Network, images: Tensor, labels: np.ndarray,
     return T.softmax_cross_entropy(logits, labels, tape)
 
 
-def joint_loss(l_r: Tensor, l_s: Tensor, l_c: Tensor, w: LossWeights,
-               enabled: frozenset | set = frozenset(LOSS_KEYS),
-               tape: Optional[Tape] = None) -> LossBreakdown:
-    """Weighted fusion over the enabled terms; disabled terms contribute zero."""
+def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tensor],
+               w: LossWeights, enabled: frozenset | set = frozenset(LOSS_KEYS),
+               tape: Optional[Tape] = None) -> tuple[Tensor, LossBreakdown]:
+    """Weighted fusion over the enabled terms; disabled terms contribute zero.
+
+    Returns the differentiable total and the per-term breakdown. A term passed
+    as None (callers skip computing disabled ones) is reported as 0.0.
+    """
     enabled = frozenset(enabled)
     if not enabled:
         raise ValueError("joint_loss: no loss terms enabled")
@@ -133,10 +140,9 @@ def joint_loss(l_r: Tensor, l_s: Tensor, l_c: Tensor, w: LossWeights,
             raise ValueError(f"joint_loss: enabled term {key!r} was not provided")
         part = term if coef == 1.0 else T.scale(term, coef, tape)
         total = part if total is None else T.add(total, part, tape)
-    return LossBreakdown(
+    return total, LossBreakdown(
         l_r=l_r.item() if l_r is not None else 0.0,
         l_s=l_s.item() if l_s is not None else 0.0,
         l_c=l_c.item() if l_c is not None else 0.0,
         total=total.item(),
-        total_tensor=total,
     )

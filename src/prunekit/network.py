@@ -9,6 +9,7 @@ match. The on-disk format is documented in docs/format.md.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -332,8 +333,17 @@ def save(net: Network, path) -> None:
         for name in ("w", "b"):
             body += _pack_array(net.params[idx][name].data)
     body += struct.pack("<I", zlib.crc32(body))
-    with open(path, "wb") as fh:
-        fh.write(body)
+    # write a sibling file, then rename over the target: a failed write never
+    # leaves a truncated model behind
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load(path) -> Network:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
-from .losses import (LossBreakdown, LossWeights, classification_loss,
-                     correlation_loss, joint_loss, reconstruction_loss)
+from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
+                     reconstruction_loss)
 from .metrics import CompressionStats, evaluate
 from .network import ChannelMask, Network, apply_mask, forward, materialize
 from .tensor import Tape, Tensor, backward, softmax_cross_entropy
@@ -159,19 +160,40 @@ def select_channels(delta: np.ndarray, k: int, layer: int = 0) -> ChannelSelecti
 
 def _layer_joint_loss(net_base: Network, net_pruned: Network, layer: int,
                       cfg: PruneConfig, xb: Tensor, yb: np.ndarray,
-                      tape: Optional[Tape]) -> LossBreakdown:
-    f_base = forward(net_base, xb, upto_layer=layer)
-    logits, feats = forward(net_pruned, xb, tape=tape, capture=(layer,))
-    f_pruned = feats[layer]
-    l_r = reconstruction_loss(f_base, f_pruned, tape)
-    l_s = correlation_loss(f_base, f_pruned, tape)
-    l_c = softmax_cross_entropy(logits, yb, tape)
-    return joint_loss(l_r, l_s, l_c, cfg.weights, cfg.enabled_losses, tape)
+                      tape: Optional[Tape]) -> tuple[Tensor, LossBreakdown]:
+    """Joint loss at one layer, building only the enabled terms: the baseline
+    map only for r or s, and the pruned net past ``layer`` only for c."""
+    on = cfg.enabled_losses
+    f_base = forward(net_base, xb, upto_layer=layer) if on & {"r", "s"} else None
+    if "c" in on:
+        logits, feats = forward(net_pruned, xb, tape=tape, capture=(layer,))
+        f_pruned = feats[layer]
+    else:
+        f_pruned = forward(net_pruned, xb, tape=tape, upto_layer=layer)
+    l_r = reconstruction_loss(f_base, f_pruned, tape) if "r" in on else None
+    l_s = correlation_loss(f_base, f_pruned, tape) if "s" in on else None
+    l_c = softmax_cross_entropy(logits, yb, tape) if "c" in on else None
+    return joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
 
 
 def _zero_grads(net: Network) -> None:
     for _, _, t in net.parameters():
         t.zero_grad()
+
+
+@contextmanager
+def _only_layer_trainable(net: Network, layer: int):
+    """Set ``requires_grad`` on layer ``layer``'s parameters only, so backward
+    computes nothing that the layer's score or update does not read. Every
+    flag is restored on exit, also when the body raises."""
+    saved = [(idx, t, t.requires_grad) for idx, _, t in net.parameters()]
+    try:
+        for idx, t, _ in saved:
+            t.requires_grad = idx == layer
+        yield
+    finally:
+        for _, t, flag in saved:
+            t.requires_grad = flag
 
 
 def score_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneConfig,
@@ -180,11 +202,12 @@ def score_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneCo
     turned into per-channel sensitivities."""
     w = net_pruned.params[layer]["w"]
     _zero_grads(net_pruned)
-    for _ in range(cfg.selection_batches):
-        xb, yb = dataset.sample_batch("train", cfg.batch_size, rng)
-        tape = Tape()
-        bd = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
-        backward(bd.total_tensor, tape)
+    with _only_layer_trainable(net_pruned, layer):
+        for _ in range(cfg.selection_batches):
+            xb, yb = dataset.sample_batch("train", cfg.batch_size, rng)
+            tape = Tape()
+            total, _ = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
+            backward(total, tape)
     grad = (w.grad if w.grad is not None else np.zeros_like(w.data)) / cfg.selection_batches
     delta = channel_sensitivity(w, grad)
     _zero_grads(net_pruned)
@@ -204,28 +227,29 @@ def refit_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneCo
 
     history: list[LossBreakdown] = []
     initial_total: Optional[float] = None
-    for _ in range(cfg.refit_epochs):
-        sums = np.zeros(4)
-        batches = 0
-        for xb, yb in dataset.iter_batches("train", cfg.batch_size, rng=rng):
-            tape = Tape()
-            bd = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
-            backward(bd.total_tensor, tape)
-            if w.grad is not None:
-                w.data[kidx] -= cfg.eta * w.grad[kidx]
-            if b.grad is not None:
-                b.data[kidx] -= cfg.eta * b.grad[kidx]
-            _zero_grads(net_pruned)
-            sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
-            batches += 1
-        epoch_bd = LossBreakdown(*(sums / batches))
-        history.append(epoch_bd)
-        if initial_total is None:
-            initial_total = epoch_bd.total
-        elif epoch_bd.total > cfg.divergence_factor * max(initial_total, 1e-12):
-            raise DivergenceError(
-                f"refit of layer {layer} diverged: total {epoch_bd.total:.4g} "
-                f"exceeds {cfg.divergence_factor}x initial {initial_total:.4g}")
+    with _only_layer_trainable(net_pruned, layer):
+        for _ in range(cfg.refit_epochs):
+            sums = np.zeros(4)
+            batches = 0
+            for xb, yb in dataset.iter_batches("train", cfg.batch_size, rng=rng):
+                tape = Tape()
+                total, bd = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
+                backward(total, tape)
+                if w.grad is not None:
+                    w.data[kidx] -= cfg.eta * w.grad[kidx]
+                if b.grad is not None:
+                    b.data[kidx] -= cfg.eta * b.grad[kidx]
+                _zero_grads(net_pruned)
+                sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
+                batches += 1
+            epoch_bd = LossBreakdown(*map(float, sums / batches))
+            history.append(epoch_bd)
+            if initial_total is None:
+                initial_total = epoch_bd.total
+            elif epoch_bd.total > cfg.divergence_factor * max(initial_total, 1e-12):
+                raise DivergenceError(
+                    f"refit of layer {layer} diverged: total {epoch_bd.total:.4g} "
+                    f"exceeds {cfg.divergence_factor}x initial {initial_total:.4g}")
     return history
 
 
@@ -331,6 +355,8 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
             total += loss.item()
             batches += 1
         mean_loss = total / batches
+        if not math.isfinite(mean_loss):
+            raise DivergenceError(f"fine-tuning diverged at epoch {epoch}: loss {mean_loss}")
         if initial_loss is None:
             initial_loss = mean_loss
         elif mean_loss > divergence_factor * max(initial_loss, 1e-12):

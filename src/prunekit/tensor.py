@@ -6,6 +6,14 @@ operation records a backward rule on it, and ``backward(loss, tape)`` replays
 the tape in reverse to populate ``.grad`` on every leaf tensor that has
 ``requires_grad`` set. Without a tape the same functions are cheap forward-only
 kernels.
+
+Gradients are need-driven. Recording an operation marks its output as needing
+a gradient when any input does, so the flag spreads forward from the leaves the
+caller wants gradients for. ``backward`` skips every node whose output needs
+none, each backward rule computes only the input gradients whose tensor needs
+one, and ``.grad`` is written only into leaves (tensors no node produced). A
+caller that wants one layer's gradients clears ``requires_grad`` everywhere
+else and pays for nothing more.
 """
 
 from __future__ import annotations
@@ -82,8 +90,12 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
-        """Append one operation. ``backward_fn(out_grad)`` must return one
-        gradient array (or None) per input, in order."""
+        """Append one operation and mark ``output`` as needing a gradient when
+        any input does. ``backward_fn(out_grad)`` must return one gradient
+        array (or None) per input, in order; inputs without ``requires_grad``
+        may get None."""
+        if any(t.requires_grad for t in inputs):
+            output.requires_grad = True
         self.nodes.append(_Node(output, inputs, backward_fn))
 
     def __len__(self) -> int:
@@ -91,7 +103,7 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``.grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``.grad`` on every requires_grad leaf reachable from ``loss``.
 
     Repeated calls accumulate into existing gradients.
     """
@@ -102,24 +114,24 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TapeError("loss tensor was not produced by an operation on this tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node.output))
+        if not node.output.requires_grad:
+            continue
+        # every consumer of this output comes later on the tape, so its
+        # gradient is complete here and no longer needed afterwards
+        g = grads.pop(id(node.output), None)
         if g is None:
             continue
-        input_grads = node.backward_fn(g)
-        for t, gi in zip(node.inputs, input_grads):
-            if gi is None:
+        for t, gi in zip(node.inputs, node.backward_fn(g)):
+            if gi is None or not t.requires_grad:
                 continue
             tid = id(t)
-            tensors[tid] = t
-            if tid in grads:
-                grads[tid] = grads[tid] + gi
-            else:
-                grads[tid] = gi
-    for tid, t in tensors.items():
-        if t.requires_grad:
-            t.accumulate_grad(grads[tid])
+            if tid not in produced:
+                leaves[tid] = t
+            grads[tid] = grads[tid] + gi if tid in grads else gi
+    for tid, t in leaves.items():
+        t.accumulate_grad(grads[tid])
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +151,6 @@ def add(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    _check_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, -g))
-    return out
-
 
 def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Elementwise product; shapes must match or ``b`` must broadcast to ``a``."""
@@ -158,11 +163,14 @@ def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     out = Tensor(out_data)
     if tape is not None:
         def bw(g):
-            ga = g * b.data
-            gb = g * a.data
-            if gb.shape != b.data.shape:
-                axes = tuple(i for i, (db, dg) in enumerate(zip(b.data.shape, gb.shape)) if db != dg)
-                gb = gb.sum(axis=axes, keepdims=True)
+            ga = g * b.data if a.requires_grad else None
+            gb = None
+            if b.requires_grad:
+                gb = g * a.data
+                if gb.shape != b.data.shape:
+                    axes = tuple(i for i, (db, dg) in enumerate(zip(b.data.shape, gb.shape))
+                                 if db != dg)
+                    gb = gb.sum(axis=axes, keepdims=True)
             return ga, gb
         tape.record(out, (a, b), bw)
     return out
@@ -188,14 +196,6 @@ def reshape(a: Tensor, shape: Sequence[int], tape: Optional[Tape] = None) -> Ten
         tape.record(out, (a,), lambda g: (g.reshape(a.shape),))
     return out
 
-
-def matmul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not conformable")
-    out = Tensor(a.data @ b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +235,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
 
     if tape is not None:
         def bw(g):
-            gw = np.einsum("bchwij,bmhw->mcij", win, g, optimize=True)
-            gcols = np.einsum("mcij,bmhw->bchwij", w.data, g, optimize=True)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
-            gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
+            gx = gw = None
+            if w.requires_grad:
+                gw = np.einsum("bchwij,bmhw->mcij", win, g, optimize=True)
+            if x.requires_grad:
+                gcols = np.einsum("mcij,bmhw->bchwij", w.data, g, optimize=True)
+                gxp = np.zeros_like(xp)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                            gcols[:, :, :, :, i, j]
+                gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
             if bias is None:
                 return gx, gw
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         inputs = (x, w) if bias is None else (x, w, bias)
         tape.record(out, inputs, bw)
     return out
@@ -301,7 +305,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tenso
     out = Tensor(x.data @ w.data + b.data)
     if tape is not None:
         tape.record(out, (x, w, b),
-                    lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+                    lambda g: (g @ w.data.T if x.requires_grad else None,
+                               x.data.T @ g if w.requires_grad else None,
+                               g.sum(axis=0) if b.requires_grad else None))
     return out
 
 

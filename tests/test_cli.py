@@ -124,6 +124,13 @@ class TestConfigFile:
         assert rc == 0
         assert "train_error=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["prune", "--config"], ["--config"]])
+    def test_config_without_value_single_line_error(self, argv, capsys):
+        rc = main(argv)
+        assert rc != 0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "--config" in err and "\n" not in err
+
     def test_malformed_line_rejected(self, tmp_path):
         from prunekit.data import DataError
         cfg = tmp_path / "exp.cfg"

@@ -129,31 +129,31 @@ class TestClassificationLoss:
 
 class TestJointLoss:
     def test_alpha_beta_zero_reduces_to_reconstruction(self):
-        bd = joint_loss(Tensor(0.7), Tensor(3.0), Tensor(1.5), LossWeights(0.0, 0.0))
+        _, bd = joint_loss(Tensor(0.7), Tensor(3.0), Tensor(1.5), LossWeights(0.0, 0.0))
         assert bd.total == pytest.approx(0.7, abs=1e-12)
 
     def test_reference_default_weights_arithmetic(self):
-        bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), LossWeights(0.001, 1.0))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), LossWeights(0.001, 1.0))
         assert bd.total == pytest.approx(1.703, abs=1e-12)
 
     def test_single_term_ablation_rows(self):
         w = LossWeights(0.001, 1.0)
-        bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("c"))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("c"))
         assert bd.total == pytest.approx(1.5, abs=1e-12)
-        bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("s"))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("s"))
         assert bd.total == pytest.approx(0.003, abs=1e-12)
 
     def test_linear_in_each_term(self, rng):
         w = LossWeights(0.4, 2.0)
         vals = rng.random(3)
-        bd = joint_loss(Tensor(vals[0]), Tensor(vals[1]), Tensor(vals[2]), w)
+        _, bd = joint_loss(Tensor(vals[0]), Tensor(vals[1]), Tensor(vals[2]), w)
         assert bd.total == pytest.approx(vals[0] + 0.4 * vals[1] + 2.0 * vals[2], abs=1e-9)
-        bumped = joint_loss(Tensor(vals[0] + 1), Tensor(vals[1]), Tensor(vals[2]), w)
+        _, bumped = joint_loss(Tensor(vals[0] + 1), Tensor(vals[1]), Tensor(vals[2]), w)
         assert bumped.total - bd.total == pytest.approx(1.0, abs=1e-9)
 
     def test_breakdown_invariant(self, rng):
         w = LossWeights(0.013, 0.7)
-        bd = joint_loss(Tensor(0.3), Tensor(1.1), Tensor(2.2), w)
+        _, bd = joint_loss(Tensor(0.3), Tensor(1.1), Tensor(2.2), w)
         assert bd.total == pytest.approx(bd.l_r + w.alpha * bd.l_s + w.beta * bd.l_c,
                                          abs=1e-9)
 
@@ -169,8 +169,9 @@ class TestJointLoss:
         fb = Tensor(rng.standard_normal((2, 2, 2)))
         fp = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
         tape = Tape()
-        bd = joint_loss(reconstruction_loss(fb, fp, tape),
-                        correlation_loss(fb, fp, tape),
-                        Tensor(0.0), LossWeights(0.5, 1.0), frozenset("rs"), tape)
-        backward(bd.total_tensor, tape)
+        total, bd = joint_loss(reconstruction_loss(fb, fp, tape),
+                               correlation_loss(fb, fp, tape),
+                               None, LossWeights(0.5, 1.0), frozenset("rs"), tape)
+        backward(total, tape)
+        assert total.item() == bd.total
         assert fp.grad is not None and np.isfinite(fp.grad).all()

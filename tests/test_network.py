@@ -166,6 +166,36 @@ class TestSerialization:
         with pytest.raises(FormatError, match="version"):
             load(path)
 
+    def test_failed_write_leaves_old_file_intact(self, trained_tiny, tmp_path, monkeypatch):
+        path = tmp_path / "m.prnk"
+        save(trained_tiny, path)
+        old = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        real_open = open
+        monkeypatch.setattr(pk.network, "open",
+                            lambda *a, **kw: DiskFull(real_open(*a, **kw)), raising=False)
+        other = trained_tiny.copy()
+        other.params[0]["w"].data += 1.0
+        with pytest.raises(OSError, match="no space"):
+            save(other, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.prnk"]
+
     def test_logits_survive_round_trip(self, trained_tiny, tiny_dataset, tmp_path, rng):
         path = tmp_path / "m.prnk"
         save(trained_tiny, path)

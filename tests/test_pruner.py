@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 import prunekit as pk
+from prunekit import pruner
 from prunekit.data import Dataset
+from prunekit.losses import correlation_loss, joint_loss, reconstruction_loss
 from prunekit.network import (ChannelMask, Network, apply_mask, conv,
-                              dense_layer, flatten_layer, save)
+                              dense_layer, flatten_layer, forward, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
-                             prune_model, refit_layer, select_channels)
-from prunekit.tensor import Tensor
+                             prune_model, refit_layer, score_layer,
+                             select_channels, train_baseline)
+from prunekit.tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 
 def small_cfg(**kw):
@@ -228,6 +231,18 @@ class TestFineTune:
         log = fine_tune(net, tiny_dataset, epochs=5, eta_schedule=0.02, seed=0)
         assert log[-1]["loss"] < log[0]["loss"]
 
+    def test_nan_loss_raises_instead_of_finishing(self, trained_tiny, tiny_dataset):
+        net = trained_tiny.copy()
+        net.params[0]["w"].data[0, 0, 0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="nan"):
+            fine_tune(net, tiny_dataset, epochs=2, seed=0)
+
+    def test_nan_baseline_is_never_flagged_trained(self, tiny_net, tiny_dataset):
+        tiny_net.params[0]["w"].data[0, 0, 0, 0] = np.nan
+        with pytest.raises(DivergenceError):
+            train_baseline(tiny_net, tiny_dataset, epochs=2, seed=0)
+        assert not tiny_net.meta["trained"]
+
     def test_eta_schedule_variants(self, trained_tiny, tiny_dataset):
         net = trained_tiny.copy()
         log = fine_tune(net, tiny_dataset, epochs=2,
@@ -236,3 +251,102 @@ class TestFineTune:
         log = fine_tune(net, tiny_dataset, epochs=2,
                         eta_schedule=lambda ep: 0.1 / (1 + ep), seed=0)
         assert log[1]["eta"] == pytest.approx(0.05)
+
+
+def _masked_at_zero(net):
+    return apply_mask(net.copy(), ChannelMask(0, np.array([True, False, True, True])))
+
+
+def _flags(net):
+    return [t.requires_grad for _, _, t in net.parameters()]
+
+
+class TestLayerLocalGradients:
+    @pytest.mark.parametrize("losses", ["rsc", "rc", "s", "c"])
+    @pytest.mark.parametrize("layer", [0, 2])
+    def test_score_gradient_equals_all_trainable_gradient(
+            self, trained_tiny, tiny_dataset, monkeypatch, losses, layer):
+        """The layer's gradient is bit-identical to one taken through the full
+        graph: all three terms built, every parameter trainable."""
+        cfg = small_cfg(enabled_losses=frozenset(losses), selection_batches=3)
+        pruned = _masked_at_zero(trained_tiny)
+        seen = []
+        monkeypatch.setattr(pruner, "channel_sensitivity",
+                            lambda w, g: seen.append(g.copy()) or channel_sensitivity(w, g))
+        score_layer(trained_tiny, pruned, layer, cfg, tiny_dataset, np.random.default_rng(4))
+
+        ref = _masked_at_zero(trained_tiny)
+        assert all(_flags(ref))
+        rng = np.random.default_rng(4)
+        for _ in range(cfg.selection_batches):
+            xb, yb = tiny_dataset.sample_batch("train", cfg.batch_size, rng)
+            tape = Tape()
+            f_base = forward(trained_tiny, xb, upto_layer=layer)
+            logits, feats = forward(ref, xb, tape=tape, capture=(layer,))
+            total, _ = joint_loss(reconstruction_loss(f_base, feats[layer], tape),
+                                  correlation_loss(f_base, feats[layer], tape),
+                                  softmax_cross_entropy(logits, yb, tape),
+                                  cfg.weights, cfg.enabled_losses, tape)
+            backward(total, tape)
+        expect = ref.params[layer]["w"].grad / cfg.selection_batches
+        assert len(seen) == 1 and np.array_equal(seen[0], expect)
+
+    def test_flags_restored_after_return(self, trained_tiny, tiny_dataset):
+        pruned = _masked_at_zero(trained_tiny)
+        pruned.params[6]["b"].requires_grad = False
+        before = _flags(pruned)
+        score_layer(trained_tiny, pruned, 0, small_cfg(), tiny_dataset,
+                    np.random.default_rng(0))
+        assert _flags(pruned) == before
+        refit_layer(trained_tiny, pruned, 0, small_cfg(), tiny_dataset,
+                    np.random.default_rng(0))
+        assert _flags(pruned) == before
+        assert all(t.grad is None for _, _, t in pruned.parameters())
+
+    def test_flags_restored_after_divergence(self, trained_tiny, tiny_dataset):
+        cfg = small_cfg(eta=0.5, refit_epochs=5, divergence_factor=0.01)
+        pruned = apply_mask(trained_tiny.copy(),
+                            ChannelMask(0, np.array([True, False, False, False])))
+        pruned.params[2]["w"].requires_grad = False
+        before = _flags(pruned)
+        with pytest.raises(DivergenceError):
+            refit_layer(trained_tiny, pruned, 0, cfg, tiny_dataset,
+                        np.random.default_rng(0))
+        assert _flags(pruned) == before
+
+
+def _forbid(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called for a disabled loss term")
+    return call
+
+
+class TestDisabledLossTerms:
+    def test_correlation_never_built_without_s(self, trained_tiny, tiny_dataset,
+                                               monkeypatch, tmp_path):
+        monkeypatch.setattr(pruner, "correlation_loss", _forbid("correlation_loss"))
+        _, report = prune_model(trained_tiny, small_cfg(enabled_losses=frozenset("rc")),
+                                tiny_dataset)
+        assert all(bd.l_s == 0.0 for curve in report.loss_curves.values() for bd in curve)
+        report.write_loss_curves(tmp_path)
+        rows = (tmp_path / "layer_0_losses.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[2] == "0.0" for row in rows)
+
+    def test_classification_and_tail_skipped_without_c(self, trained_tiny, tiny_dataset,
+                                                       monkeypatch):
+        monkeypatch.setattr(pruner, "softmax_cross_entropy", _forbid("softmax_cross_entropy"))
+        calls = []
+        monkeypatch.setattr(pruner, "forward",
+                            lambda net, x, **kw: calls.append(kw) or forward(net, x, **kw))
+        prune_model(trained_tiny, small_cfg(enabled_losses=frozenset("rs")), tiny_dataset)
+        assert calls and all(kw.get("upto_layer") is not None for kw in calls)
+
+    def test_baseline_forward_skipped_without_r_or_s(self, trained_tiny, tiny_dataset,
+                                                     monkeypatch):
+        monkeypatch.setattr(pruner, "reconstruction_loss", _forbid("reconstruction_loss"))
+        monkeypatch.setattr(pruner, "correlation_loss", _forbid("correlation_loss"))
+        nets = []
+        monkeypatch.setattr(pruner, "forward",
+                            lambda net, x, **kw: nets.append(net) or forward(net, x, **kw))
+        prune_model(trained_tiny, small_cfg(enabled_losses=frozenset("c")), tiny_dataset)
+        assert nets and all(net is not trained_tiny for net in nets)

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from prunekit.losses import correlation_loss, reconstruction_loss
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
                              conv2d, dense, flatten, gram_feature, gram_spatial,
                              max_pool2d, mul, relu, softmax_cross_entropy,
@@ -186,3 +189,74 @@ class TestGram:
     def test_rank_check(self):
         with pytest.raises(ShapeError):
             gram_feature(Tensor(np.zeros((2, 2, 2))))
+
+
+# op name -> (input shapes, op(inputs, tape)); the op's own node comes first
+NEED_DRIVEN_CASES = {
+    "conv2d_bias": ([(2, 3, 6, 6), (4, 3, 3, 3), (4,)],
+                    lambda t, tape: conv2d(t[0], t[1], stride=1, pad=1, bias=t[2], tape=tape)),
+    "conv2d_nobias": ([(2, 3, 7, 7), (4, 3, 3, 3)],
+                      lambda t, tape: conv2d(t[0], t[1], stride=2, pad=1, tape=tape)),
+    "dense": ([(4, 6), (6, 3), (3,)], lambda t, tape: dense(t[0], t[1], t[2], tape)),
+    "mul_broadcast": ([(2, 3, 4, 4), (1, 3, 1, 1)], lambda t, tape: mul(t[0], t[1], tape)),
+    "mul_same_shape": ([(3, 5), (3, 5)], lambda t, tape: mul(t[0], t[1], tape)),
+    "reconstruction_loss": ([(2, 3, 4, 4), (2, 3, 4, 4)],
+                            lambda t, tape: reconstruction_loss(t[0], t[1], tape)),
+    "correlation_loss": ([(2, 3, 3, 3), (2, 3, 3, 3)],
+                         lambda t, tape: correlation_loss(t[0], t[1], tape)),
+}
+
+
+def _run_need_driven(name, marked):
+    """Build the op on fixed inputs, marking only the ``marked`` indices, reduce
+    it to a scalar with fixed weights, and run backward."""
+    shapes, op = NEED_DRIVEN_CASES[name]
+    r = np.random.default_rng(5)
+    inputs = [Tensor(r.standard_normal(s), requires_grad=i in marked)
+              for i, s in enumerate(shapes)]
+    tape = Tape()
+    out = op(inputs, tape)
+    if out.size != 1:
+        out = sum_all(mul(out, Tensor(r.standard_normal(out.shape)), tape), tape)
+    backward(out, tape)
+    return inputs, tape
+
+
+class TestNeedDrivenGradients:
+    @pytest.mark.parametrize("name", sorted(NEED_DRIVEN_CASES))
+    def test_every_subset_matches_all_marked_run(self, name):
+        n = len(NEED_DRIVEN_CASES[name][0])
+        full, _ = _run_need_driven(name, set(range(n)))
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                inputs, tape = _run_need_driven(name, set(subset))
+                for i, t in enumerate(inputs):
+                    if i in subset:
+                        assert np.array_equal(t.grad, full[i].grad), (subset, i)
+                    else:
+                        assert t.grad is None, (subset, i)
+                assert all(node.output.grad is None for node in tape.nodes)
+                # the rule itself skips the gradients nobody asked for
+                op_node = tape.nodes[0]
+                got = op_node.backward_fn(np.ones_like(op_node.output.data))
+                assert [g is not None for g in got] == [i in subset for i in range(n)]
+
+    def test_output_needs_grad_iff_an_input_does(self):
+        tape = Tape()
+        frozen = relu(Tensor(np.ones((2, 2))), tape)
+        assert not frozen.requires_grad
+        live = mul(frozen, Tensor(np.ones((2, 2)), requires_grad=True), tape)
+        assert live.requires_grad
+
+    def test_nodes_without_needed_output_are_not_replayed(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+        w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+        tape = Tape()
+        h = relu(x, tape)
+        calls = []
+        prefix = tape.nodes[0]
+        inner = prefix.backward_fn
+        prefix.backward_fn = lambda g: calls.append(1) or inner(g)
+        loss = sum_all(conv2d(h, w, pad=1, tape=tape), tape)
+        backward(loss, tape)
+        assert calls == [] and x.grad is None and w.grad is not None
