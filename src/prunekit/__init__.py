@@ -1,16 +1,16 @@
 """Multi-loss-aware channel pruning for small feedforward CNNs."""
 
 from .data import Dataset, DataError, load_cifar10, synth_dataset
-from .losses import (LossBreakdown, LossWeights, classification_loss,
-                     correlation_loss, joint_loss, reconstruction_loss)
+from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
+                     reconstruction_loss)
 from .metrics import (CompressionStats, count_flops, count_params, evaluate,
                       run_ablation)
 from .network import (ChannelMask, FormatError, LayerSpec, Network, apply_mask,
                       forward, load, materialize, reference_specs, save)
 from .pruner import (ChannelSelection, DivergenceError, PruneConfig, PruneReport,
                      UntrainedBaselineError, budget_for, channel_sensitivity,
-                     fine_tune, prune_model, refit_layer, select_channels,
-                     train_baseline)
+                     fine_tune, frozen_activations, prune_model, refit_layer,
+                     select_channels, train_baseline)
 from .tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 __all__ = [
@@ -18,9 +18,9 @@ __all__ = [
     "Dataset", "DivergenceError", "FormatError", "LayerSpec", "LossBreakdown",
     "LossWeights", "Network", "PruneConfig", "PruneReport", "ShapeError",
     "Tape", "TapeError", "Tensor", "UntrainedBaselineError", "apply_mask",
-    "backward", "budget_for", "channel_sensitivity", "classification_loss",
-    "correlation_loss", "count_flops", "count_params", "evaluate", "fine_tune",
-    "forward", "joint_loss", "load", "load_cifar10", "materialize",
+    "backward", "budget_for", "channel_sensitivity", "correlation_loss",
+    "count_flops", "count_params", "evaluate", "fine_tune", "forward",
+    "frozen_activations", "joint_loss", "load", "load_cifar10", "materialize",
     "prune_model", "reconstruction_loss", "reference_specs", "refit_layer",
     "run_ablation", "save", "select_channels", "synth_dataset",
     "train_baseline",

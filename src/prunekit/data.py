@@ -61,7 +61,7 @@ class Dataset:
     def sample_batch(self, name: str, batch_size: int,
                      rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
         imgs, labels = self.normalized(name)
-        idx = rng.integers(0, len(imgs), size=min(batch_size, len(imgs)))
+        idx = sample_indices(len(imgs), batch_size, rng)
         return Tensor(imgs[idx]), labels[idx]
 
     def iter_batches(self, name: str, batch_size: int,
@@ -69,10 +69,26 @@ class Dataset:
                      ) -> Iterator[tuple[Tensor, np.ndarray]]:
         """One pass over the split; shuffled when an rng is supplied."""
         imgs, labels = self.normalized(name)
-        order = rng.permutation(len(imgs)) if rng is not None else np.arange(len(imgs))
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
+        for idx in epoch_indices(len(imgs), batch_size, rng):
             yield Tensor(imgs[idx]), labels[idx]
+
+
+# Batch index draws. Code that indexes arrays derived from a split (such as
+# cached activations) calls these too, so it consumes the rng exactly as the
+# Dataset methods above do and picks the same examples.
+
+def sample_indices(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of one batch drawn with replacement from ``n`` examples."""
+    return rng.integers(0, n, size=min(batch_size, n))
+
+
+def epoch_indices(n: int, batch_size: int,
+                  rng: Optional[np.random.Generator] = None) -> Iterator[np.ndarray]:
+    """Index batches of one pass over ``n`` examples; shuffled when an rng is
+    supplied."""
+    order = rng.permutation(n) if rng is not None else np.arange(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
 
 
 def _normalization(train_images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,35 +146,36 @@ def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int 
                    mean, std, classes)
 
 
-def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_cifar_file(path: str) -> np.ndarray:
+    """The file's raw [records, 3073] uint8 table, label byte first."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) != CIFAR_RECORD * CIFAR_BATCH_RECORDS:
         raise DataError(
             f"{path}: expected {CIFAR_RECORD * CIFAR_BATCH_RECORDS} bytes, got {len(blob)}")
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(CIFAR_BATCH_RECORDS, CIFAR_RECORD)
-    labels = raw[:, 0].astype(np.int64)
-    if labels.max() > 9:
-        raise DataError(f"{path}: label byte {labels.max()} > 9")
+    if raw[:, 0].max() > 9:
+        raise DataError(f"{path}: label byte {raw[:, 0].max()} > 9")
+    return raw
+
+
+def _cifar_split(raw: np.ndarray, cap: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Cap the uint8 records first: only the kept images become float64."""
+    raw = raw[:cap]
     images = raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    return images, labels
+    return images, raw[:, 0].astype(np.int64)
 
 
 def load_cifar10(data_dir: str, train_cap: Optional[int] = None,
                  test_cap: Optional[int] = None) -> Dataset:
     """Read the standard CIFAR-10 binary batches (data_batch_1..5.bin, test_batch.bin)."""
-    train_parts = []
-    for i in range(1, 6):
-        path = os.path.join(data_dir, f"data_batch_{i}.bin")
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+    paths = [os.path.join(data_dir, name) for name in names]
+    for path in paths:
         if not os.path.exists(path):
             raise DataError(f"missing CIFAR batch file {path}")
-        train_parts.append(_read_cifar_file(path))
-    train_images = np.concatenate([p[0] for p in train_parts])
-    train_labels = np.concatenate([p[1] for p in train_parts])
-    test_images, test_labels = _read_cifar_file(os.path.join(data_dir, "test_batch.bin"))
-    if train_cap is not None:
-        train_images, train_labels = train_images[:train_cap], train_labels[:train_cap]
-    if test_cap is not None:
-        test_images, test_labels = test_images[:test_cap], test_labels[:test_cap]
+    train_images, train_labels = _cifar_split(
+        np.concatenate([_read_cifar_file(p) for p in paths[:5]]), train_cap)
+    test_images, test_labels = _cifar_split(_read_cifar_file(paths[5]), test_cap)
     mean, std = _normalization(train_images)
     return Dataset(train_images, train_labels, test_images, test_labels, mean, std, 10)

@@ -39,10 +39,12 @@ def suite_cases() -> dict:
         x = Tensor(vals + 0.2 * np.sign(vals), requires_grad=True)
         return (lambda tape: _scalarize(T.relu(x, tape), tape)), [x]
 
-    def pool_case(rng):
-        # spread values so the argmax is stable under the FD perturbation
-        x = Tensor(rng.standard_normal((2, 2, 6, 6)) * 3.0, requires_grad=True)
-        return (lambda tape: _scalarize(T.max_pool2d(x, 2, 2, tape), tape)), [x]
+    def pool_case(k, stride):
+        def build(rng):
+            # spread values so the argmax is stable under the FD perturbation
+            x = Tensor(rng.standard_normal((2, 2, 6, 6)) * 3.0, requires_grad=True)
+            return (lambda tape: _scalarize(T.max_pool2d(x, k, stride, tape), tape)), [x]
+        return build
 
     def dense_case(rng):
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
@@ -95,7 +97,8 @@ def suite_cases() -> dict:
         "conv2d_stride2": conv_case(2, 1, size=7),
         "conv2d_nopad": conv_case(1, 0),
         "relu": relu_case,
-        "max_pool2d": pool_case,
+        "max_pool2d": pool_case(2, 2),
+        "max_pool2d_overlap": pool_case(3, 1),
         "dense": dense_case,
         "flatten": flatten_case,
         "softmax_cross_entropy": softmax_case,

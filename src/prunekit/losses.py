@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .network import Network, forward
 from .tensor import ShapeError, Tape, Tensor
 
 LOSS_KEYS = ("r", "s", "c")
@@ -106,12 +105,6 @@ def correlation_loss(f_base: Tensor, f_pruned: Tensor,
             return gb, gp
         tape.record(out, (f_base, f_pruned), bw)
     return out
-
-
-def classification_loss(net_pruned: Network, images: Tensor, labels: np.ndarray,
-                        tape: Optional[Tape] = None) -> Tensor:
-    logits = forward(net_pruned, images, tape=tape)
-    return T.softmax_cross_entropy(logits, labels, tape)
 
 
 def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tensor],

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import Dataset
 from .network import Network, forward
 from .tensor import Tensor
 
@@ -43,14 +43,11 @@ def count_params(net: Network) -> int:
     return sum(t.size for _, _, t in net.parameters())
 
 
-def count_flops(net: Network, input_shape: Optional[tuple] = None) -> int:
+def count_flops(net: Network) -> int:
     """Multiply-accumulate count with multiply and add counted separately:
     conv contributes 2*M*C*kh*kw*H'*Z', dense 2*in*out. Pooling, activations,
     and biases are excluded."""
-    shape = tuple(input_shape) if input_shape is not None else net.input_shape
-    probe = net if shape == net.input_shape else Network(
-        net.specs, shape, net.num_classes, params=net.params, meta=dict(net.meta))
-    shapes = probe.layer_shapes()
+    shapes = net.layer_shapes()
     total = 0
     for idx, spec in enumerate(net.specs):
         if spec.kind == "conv":
@@ -69,6 +66,11 @@ def evaluate(net: Network, dataset: Dataset, split: str = "test",
     for start in range(0, len(images), batch_size):
         xb = Tensor(images[start:start + batch_size])
         logits = forward(net, xb)
+        if not np.isfinite(logits.data).all():
+            from .pruner import DivergenceError  # pruner imports this module
+            raise DivergenceError(
+                f"evaluate: non-finite logits on the {split} split; the network "
+                "holds NaN/Inf weights or overflows")
         wrong += int((logits.data.argmax(axis=1) != labels[start:start + batch_size]).sum())
     return wrong / len(images)
 

@@ -9,10 +9,11 @@ match. The on-disk format is documented in docs/format.md.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,10 @@ _MAGIC = b"PRNK"
 _FORMAT_VERSION = 1
 _KIND_CODES = {"conv": 0, "relu": 1, "maxpool": 2, "flatten": 3, "dense": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# the LayerSpec fields each kind reads; a kind leaves the others at their defaults
+_USED_FIELDS = {"conv": {"in_channels", "out_channels", "kernel", "stride", "pad"},
+                "relu": set(), "maxpool": {"kernel", "stride"}, "flatten": set(),
+                "dense": {"in_features", "out_features"}}
 
 
 class FormatError(ValueError):
@@ -47,6 +52,11 @@ class LayerSpec:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
         if self.kind == "conv" and self.out_channels < 1:
             raise ShapeError("conv layer needs out_channels >= 1")
+        if self.kind in ("conv", "maxpool") and (self.kernel < 1 or self.stride < 1):
+            raise ShapeError(f"{self.kind} layer needs kernel and stride >= 1")
+        for f in fields(self)[1:]:  # every field after kind
+            if f.name not in _USED_FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ShapeError(f"{self.kind} layer does not use field {f.name}")
 
 
 def conv(in_channels: int, out_channels: int, kernel: int = 3, stride: int = 1,
@@ -142,7 +152,8 @@ class Network:
                 if len(shape) != 3:
                     raise ShapeError(f"layer {idx} (maxpool): needs [C,H,W] input, got {shape}")
                 c, h, w = shape
-                if (h - spec.kernel) % spec.stride or (w - spec.kernel) % spec.stride:
+                if (h < spec.kernel or w < spec.kernel
+                        or (h - spec.kernel) % spec.stride or (w - spec.kernel) % spec.stride):
                     raise ShapeError(f"layer {idx} (maxpool): non-integral output size from {shape}")
                 shape = (c, (h - spec.kernel) // spec.stride + 1,
                          (w - spec.kernel) // spec.stride + 1)
@@ -170,37 +181,42 @@ class Network:
             for name in ("w", "b"):
                 yield idx, name, self.params[idx][name]
 
-    def copy(self, deep: bool = True) -> "Network":
-        params = {}
-        for idx, entry in self.params.items():
-            if deep:
-                params[idx] = {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                               for k, t in entry.items()}
-            else:
-                params[idx] = dict(entry)
+    def copy(self) -> "Network":
+        """Deep copy: parameters, masks and metadata are all new objects."""
+        params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+                        for k, t in entry.items()}
+                  for idx, entry in self.params.items()}
         return Network(list(self.specs), self.input_shape, self.num_classes,
                        params=params, masks={k: v.copy() for k, v in self.masks.items()},
                        meta=dict(self.meta))
 
 
 def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
-            upto_layer: Optional[int] = None, capture: Sequence[int] = ()):
-    """Run the chain on a [B,C,H,W] batch.
+            upto_layer: Optional[int] = None, capture: Sequence[int] = (),
+            start: int = 0):
+    """Run layers ``start..upto_layer`` of the chain on a batch.
 
-    Returns the logits, or the (masked) post-conv feature map of ``upto_layer``
-    when given. With a non-empty ``capture`` the return value is a
-    ``(result, {layer: feature})`` pair; captured features are taken right
-    after the convolution (and mask), before the nonlinearity.
+    ``x`` is what enters layer ``start``: a [B,C,H,W] image batch for the
+    default 0, otherwise the batched output of layer ``start - 1``. Returns the
+    logits, or the (masked) post-conv feature map of ``upto_layer`` when given.
+    With a non-empty ``capture`` the return value is a ``(result, {layer:
+    feature})`` pair; captured features are taken right after the convolution
+    (and mask), before the nonlinearity.
     """
-    if x.data.ndim != 4 or x.shape[1:] != net.input_shape:
+    if start and not 0 < start < len(net.specs):
+        raise ShapeError(f"forward: start layer {start} out of range")
+    expect = net.layer_shapes()[start - 1] if start else net.input_shape
+    if x.data.ndim != len(expect) + 1 or x.shape[1:] != expect:
         raise ShapeError(
-            f"forward: input shape {x.shape} does not match declared {net.input_shape}")
-    if upto_layer is not None and not (0 <= upto_layer < len(net.specs)):
+            f"forward: input shape {x.shape} does not match declared {expect} "
+            f"entering layer {start}")
+    if upto_layer is not None and not (start <= upto_layer < len(net.specs)):
         raise ShapeError(f"forward: layer index {upto_layer} out of range")
 
     h = x
     feats: dict[int, Tensor] = {}
-    for idx, spec in enumerate(net.specs):
+    for idx in range(start, len(net.specs)):
+        spec = net.specs[idx]
         if spec.kind == "conv":
             p = net.params[idx]
             h = T.conv2d(h, p["w"], stride=spec.stride, pad=spec.pad, bias=p["b"], tape=tape)
@@ -363,33 +379,53 @@ def load(path) -> Network:
     if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     (flags,) = r.unpack("<B")
+    if flags & ~1:
+        raise FormatError(f"unknown flag bits {flags:#04x}")
     (num_classes,) = r.unpack("<I")
     (ndim,) = r.unpack("<B")
     input_shape = r.unpack(f"<{ndim}I")
     (n_layers,) = r.unpack("<I")
     specs = []
-    for _ in range(n_layers):
+    for idx in range(n_layers):
         code, cin, cout, k, s, p, fin, fout = r.unpack("<B7I")
         if code not in _KIND_NAMES:
             raise FormatError(f"unknown layer kind code {code}")
-        specs.append(LayerSpec(_KIND_NAMES[code], in_channels=cin, out_channels=cout,
-                               kernel=k, stride=s, pad=p, in_features=fin, out_features=fout))
+        try:
+            specs.append(LayerSpec(_KIND_NAMES[code], in_channels=cin, out_channels=cout,
+                                   kernel=k, stride=s, pad=p, in_features=fin,
+                                   out_features=fout))
+        except ShapeError as exc:
+            raise FormatError(f"layer {idx}: {exc}") from exc
     params = {}
     for idx, spec in enumerate(specs):
         if spec.kind not in ("conv", "dense"):
             continue
         entry = {}
-        for name in ("w", "b"):
+        for name, expect in zip(("w", "b"), _param_shapes(spec)):
             (nd,) = r.unpack("<B")
             shape = r.unpack(f"<{nd}I")
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
+            if shape != expect:
+                raise FormatError(
+                    f"layer {idx} {name}: stored shape {shape} contradicts the layer "
+                    f"table, which implies {expect}")
+            data = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
             entry[name] = Tensor(data.copy(), requires_grad=True)
         params[idx] = entry
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after parameter payload")
-    return Network(specs, input_shape, num_classes, params=params,
-                   meta={"trained": bool(flags & 1)})
+    try:
+        return Network(specs, input_shape, num_classes, params=params,
+                       meta={"trained": bool(flags & 1)})
+    except ShapeError as exc:
+        raise FormatError(f"inconsistent layer table: {exc}") from exc
+
+
+def _param_shapes(spec: LayerSpec) -> tuple[tuple, tuple]:
+    """Shapes of a conv or dense layer's weight and bias."""
+    if spec.kind == "conv":
+        return ((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel),
+                (spec.out_channels,))
+    return (spec.in_features, spec.out_features), (spec.out_features,)
 
 
 def reference_specs(in_channels: int = 3, image_size: int = 12,

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, epoch_indices, sample_indices
 from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
                      reconstruction_loss)
 from .metrics import CompressionStats, evaluate
@@ -36,7 +36,8 @@ class UntrainedBaselineError(PruneError):
 
 
 class DivergenceError(PruneError):
-    """Optimization total loss blew past the configured guard threshold."""
+    """A loss or the network's output became non-finite, or an optimization's
+    total loss blew past the configured guard threshold."""
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,72 @@ def select_channels(delta: np.ndarray, k: int, layer: int = 0) -> ChannelSelecti
                             budget=k)
 
 
-def _layer_joint_loss(net_base: Network, net_pruned: Network, layer: int,
-                      cfg: PruneConfig, xb: Tensor, yb: np.ndarray,
+@dataclass
+class FrozenActivations:
+    """What scoring and refitting one conv layer read but never change, over
+    the whole train split: the pruned net's input to the layer and, when r or s
+    is enabled, the baseline's map at the layer.
+
+    Refitting layer l changes only layer l's weights, so both arrays are
+    computed once per layer, without a tape, and moved on to the next conv
+    layer by ``advance_activations``. They hold about N_train times the
+    largest per-image map, in float64.
+    """
+    x_in: np.ndarray
+    f_base: Optional[np.ndarray]
+    labels: np.ndarray
+
+
+def _forward_chunks(net: Network, x: np.ndarray, start: int, upto: int,
+                    batch_size: int) -> np.ndarray:
+    """Untaped ``forward`` of layers ``start..upto`` over ``x`` in batches."""
+    if upto < start:
+        return x
+    return np.concatenate([
+        forward(net, Tensor(x[i:i + batch_size]), start=start, upto_layer=upto).data
+        for i in range(0, len(x), batch_size)])
+
+
+def frozen_activations(net_base: Network, net_pruned: Network, layer: int,
+                       cfg: PruneConfig, dataset: Dataset) -> FrozenActivations:
+    """The frozen activations of conv layer ``layer``, from the train images."""
+    images, labels = dataset.normalized("train")
+    f_base = (_forward_chunks(net_base, images, 0, layer, cfg.batch_size)
+              if cfg.enabled_losses & {"r", "s"} else None)
+    x_in = _forward_chunks(net_pruned, images, 0, layer - 1, cfg.batch_size)
+    return FrozenActivations(x_in, f_base, labels)
+
+
+def advance_activations(acts: FrozenActivations, net_base: Network,
+                        net_pruned: Network, layer: int, nxt: int,
+                        cfg: PruneConfig) -> FrozenActivations:
+    """Move the frozen activations of conv layer ``layer`` on to conv layer
+    ``nxt``, once layer ``layer`` is masked and refit: the pruned input runs
+    through layers ``layer..nxt-1``, the baseline map through ``layer+1..nxt``."""
+    f_base = (_forward_chunks(net_base, acts.f_base, layer + 1, nxt, cfg.batch_size)
+              if acts.f_base is not None else None)
+    return FrozenActivations(
+        _forward_chunks(net_pruned, acts.x_in, layer, nxt - 1, cfg.batch_size),
+        f_base, acts.labels)
+
+
+def _layer_joint_loss(net_pruned: Network, layer: int, cfg: PruneConfig,
+                      acts: FrozenActivations, idx: np.ndarray,
                       tape: Optional[Tape]) -> tuple[Tensor, LossBreakdown]:
-    """Joint loss at one layer, building only the enabled terms: the baseline
-    map only for r or s, and the pruned net past ``layer`` only for c."""
+    """Joint loss at one layer on the examples ``idx``, building only the
+    enabled terms: the pruned net runs from ``layer`` on, and past it only for
+    c; the baseline map is read from ``acts``."""
     on = cfg.enabled_losses
-    f_base = forward(net_base, xb, upto_layer=layer) if on & {"r", "s"} else None
+    f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
+    xb = Tensor(acts.x_in[idx])
     if "c" in on:
-        logits, feats = forward(net_pruned, xb, tape=tape, capture=(layer,))
+        logits, feats = forward(net_pruned, xb, tape=tape, capture=(layer,), start=layer)
         f_pruned = feats[layer]
     else:
-        f_pruned = forward(net_pruned, xb, tape=tape, upto_layer=layer)
+        f_pruned = forward(net_pruned, xb, tape=tape, upto_layer=layer, start=layer)
     l_r = reconstruction_loss(f_base, f_pruned, tape) if "r" in on else None
     l_s = correlation_loss(f_base, f_pruned, tape) if "s" in on else None
-    l_c = softmax_cross_entropy(logits, yb, tape) if "c" in on else None
+    l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
     return joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
 
 
@@ -196,17 +248,18 @@ def _only_layer_trainable(net: Network, layer: int):
             t.requires_grad = flag
 
 
-def score_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneConfig,
-                dataset: Dataset, rng: np.random.Generator) -> np.ndarray:
+def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
+                acts: FrozenActivations, rng: np.random.Generator) -> np.ndarray:
     """Joint-loss gradients accumulated over selection batches, averaged, then
-    turned into per-channel sensitivities."""
+    turned into per-channel sensitivities. Batches are drawn as
+    ``Dataset.sample_batch`` draws them."""
     w = net_pruned.params[layer]["w"]
     _zero_grads(net_pruned)
     with _only_layer_trainable(net_pruned, layer):
         for _ in range(cfg.selection_batches):
-            xb, yb = dataset.sample_batch("train", cfg.batch_size, rng)
+            idx = sample_indices(len(acts.labels), cfg.batch_size, rng)
             tape = Tape()
-            total, _ = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
+            total, _ = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
             backward(total, tape)
     grad = (w.grad if w.grad is not None else np.zeros_like(w.data)) / cfg.selection_batches
     delta = channel_sensitivity(w, grad)
@@ -214,10 +267,11 @@ def score_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneCo
     return delta
 
 
-def refit_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneConfig,
-                dataset: Dataset, rng: np.random.Generator) -> list[LossBreakdown]:
+def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
+                acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
     """Plain SGD on the retained slice of one conv layer; the baseline and every
-    other layer stay frozen. Returns the per-epoch loss curve."""
+    other layer stay frozen. Each epoch shuffles as ``Dataset.iter_batches``
+    does. Returns the per-epoch loss curve."""
     keep = net_pruned.masks.get(layer)
     if keep is None:
         raise PruneError(f"refit_layer: layer {layer} has no mask applied")
@@ -231,9 +285,9 @@ def refit_layer(net_base: Network, net_pruned: Network, layer: int, cfg: PruneCo
         for _ in range(cfg.refit_epochs):
             sums = np.zeros(4)
             batches = 0
-            for xb, yb in dataset.iter_batches("train", cfg.batch_size, rng=rng):
+            for idx in epoch_indices(len(acts.labels), cfg.batch_size, rng):
                 tape = Tape()
-                total, bd = _layer_joint_loss(net_base, net_pruned, layer, cfg, xb, yb, tape)
+                total, bd = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
                 backward(total, tape)
                 if w.grad is not None:
                     w.data[kidx] -= cfg.eta * w.grad[kidx]
@@ -264,20 +318,22 @@ def prune_model(net_base: Network, cfg: PruneConfig,
         raise PruneError("network has no prunable conv layers")
 
     rng = np.random.default_rng(cfg.seed)
-    pruned = net_base.copy(deep=True)
+    pruned = net_base.copy()
     selections: dict[int, ChannelSelection] = {}
     curves: dict[int, list[LossBreakdown]] = {}
 
-    for layer in convs:
-        delta = score_layer(net_base, pruned, layer, cfg, dataset, rng)
+    acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
+    for layer, nxt in zip(convs, convs[1:] + [None]):
+        delta = score_layer(pruned, layer, cfg, acts, rng)
         channels = net_base.specs[layer].out_channels
         sel = select_channels(delta, budget_for(channels, cfg.rate), layer=layer)
         keep = np.zeros(channels, dtype=bool)
         keep[sel.retained] = True
         pruned = apply_mask(pruned, ChannelMask(layer, keep))
         selections[layer] = sel
-        curves[layer] = (refit_layer(net_base, pruned, layer, cfg, dataset, rng)
-                         if cfg.refit_epochs else [])
+        curves[layer] = refit_layer(pruned, layer, cfg, acts, rng) if cfg.refit_epochs else []
+        if nxt is not None:
+            acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
 
     masked_train = evaluate(pruned, dataset, "train")
     masked_test = evaluate(pruned, dataset, "test")

@@ -265,24 +265,29 @@ def relu(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
 def max_pool2d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: input must be 4-d, got {x.shape}")
-    bsz, c, h, wd = x.shape
+    h, wd = x.shape[2:]
     if k < 1 or stride < 1:
         raise ShapeError(f"max_pool2d: kernel {k} and stride {stride} must be >= 1")
     if (h - k) < 0 or (wd - k) < 0 or (h - k) % stride or (wd - k) % stride:
         raise ShapeError(
             f"max_pool2d: non-integral output size for input {h}x{wd}, window {k}, stride {stride}")
     ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
-    win = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(bsz, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
+    # window position (i, j), row-major, of every output is one strided view of x
+    spans = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+             for i in range(k) for j in range(k)]
+    out_data = x.data[:, :, spans[0][0], spans[0][1]].copy()
+    for si, sj in spans[1:]:
+        np.maximum(out_data, x.data[:, :, si, sj], out=out_data)
+    out = Tensor(out_data)
     if tape is not None:
         def bw(g):
+            # the gradient goes to the first window position holding the max
             gx = np.zeros_like(x.data)
-            for p in range(k * k):
-                i, j = divmod(p, k)
-                sel = (idx == p) * g
-                gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += sel
+            taken = np.zeros(out_data.shape, dtype=bool)
+            for si, sj in spans:
+                sel = (x.data[:, :, si, sj] == out_data) & ~taken
+                taken |= sel
+                gx[:, :, si, sj] += sel * g
             return (gx,)
         tape.record(out, (x,), bw)
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,26 @@ class TestCifar10:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="missing"):
             load_cifar10(tmp_path)
+
+    def test_missing_test_batch_rejected(self, tmp_path, rng):
+        _write_cifar_dir(tmp_path, rng)
+        (tmp_path / "test_batch.bin").unlink()
+        with pytest.raises(DataError, match="missing.*test_batch.bin"):
+            load_cifar10(tmp_path, train_cap=10, test_cap=10)
+
+    def test_caps_apply_before_float_conversion(self, tmp_path, rng):
+        blobs = _write_cifar_dir(tmp_path, rng)
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(tmp_path, train_cap=10, test_cap=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the raw uint8 records of the five train files are 154 MB; converting
+        # all 50 000 train images to float64 first would need 1.2 GB more
+        assert peak < 600e6, f"peak {peak / 1e6:.0f} MB"
+        assert ds.train_images.shape == (10, 3, 32, 32)
+        assert ds.test_images[9, 1, 0, 0] == blobs["test_batch.bin"][9, 1 + 1024] / 255.0
 
 
 class TestDatasetContainer:

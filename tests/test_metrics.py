@@ -119,6 +119,13 @@ class TestEvaluate:
         with pytest.raises(DataError, match="empty"):
             evaluate(trained_tiny, empty, "test")
 
+    def test_non_finite_logits_raise(self, trained_tiny, tiny_dataset):
+        # argmax over a NaN row picks class 0, which once read as a plausible error
+        net = trained_tiny.copy()
+        net.params[0]["w"].data[0, 0, 0, 0] = np.nan
+        with pytest.raises(pk.DivergenceError, match="non-finite logits"):
+            evaluate(net, tiny_dataset, "test")
+
 
 class TestAblation:
     def test_seven_rows_in_table_order(self, trained_tiny, tiny_dataset):

@@ -1,10 +1,16 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prunekit as pk
-from prunekit.network import (ChannelMask, FormatError, Network, apply_mask,
-                              conv, dense_layer, flatten_layer, forward, load,
-                              materialize, maxpool, relu_layer, save)
+from prunekit.network import (ChannelMask, FormatError, LayerSpec, Network,
+                              apply_mask, conv, dense_layer, flatten_layer,
+                              forward, load, materialize, maxpool,
+                              reference_specs, relu_layer, save)
 from prunekit.tensor import ShapeError, Tensor
 
 
@@ -48,6 +54,26 @@ class TestForward:
         xb, _ = tiny_dataset.sample_batch("test", 1, rng)
         with pytest.raises(ShapeError, match="out of range"):
             forward(trained_tiny, xb, upto_layer=99)
+
+    def test_start_resumes_where_upto_stopped(self, trained_tiny, tiny_dataset, rng):
+        net = apply_mask(trained_tiny, ChannelMask(0, np.array([True, False, True, True])))
+        xb, _ = tiny_dataset.sample_batch("test", 8, rng)
+        full = forward(net, xb).data
+        for l in range(1, len(net.specs)):
+            mid = forward(net, xb, upto_layer=l - 1)
+            assert np.array_equal(forward(net, mid, start=l).data, full), l
+            mid = forward(net, mid, start=l, upto_layer=l)
+            assert np.array_equal(mid.data, forward(net, xb, upto_layer=l).data), l
+
+    def test_start_checks_the_shape_entering_the_layer(self, trained_tiny):
+        # layer 2 is conv(4->6) fed by layer 1's [4,8,8] output
+        forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=2)
+        with pytest.raises(ShapeError, match="entering layer 2"):
+            forward(trained_tiny, Tensor(np.zeros((1, 3, 8, 8))), start=2)
+        with pytest.raises(ShapeError, match="out of range"):
+            forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=2, upto_layer=1)
+        with pytest.raises(ShapeError, match="start layer"):
+            forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=len(trained_tiny.specs))
 
 
 class TestApplyMask:
@@ -196,9 +222,135 @@ class TestSerialization:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.prnk"]
 
+    def test_param_shape_contradicting_layer_table(self, tmp_path, rng):
+        net = Network.initialize(reference_specs(3, 12, 3), (3, 12, 12), 3, rng)
+        # a CRC-valid file whose layer-0 weight has 15 output channels, not 16
+        net.params[0]["w"] = Tensor(net.params[0]["w"].data[:15])
+        path = tmp_path / "m.prnk"
+        save(net, path)
+        with pytest.raises(FormatError, match="layer 0 w.*contradicts"):
+            load(path)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("num_classes", 5, "inconsistent layer table"),   # Network: output != classes
+        ("layer0.stride", 0, "layer 0"),                  # LayerSpec: conv stride 0
+        ("layer0.in_features", 7, "layer 0"),             # LayerSpec: unused conv field
+    ])
+    def test_inconsistent_header_is_a_format_error(self, trained_tiny, tmp_path,
+                                                   field, value, match):
+        blob = _saved_blob(trained_tiny, tmp_path)
+        off, fmt = dict(_header_fields(blob))[field]
+        path = tmp_path / "bad.prnk"
+        path.write_bytes(_resigned(_put(blob, off, fmt, value)))
+        with pytest.raises(FormatError, match=match):
+            load(path)
+
     def test_logits_survive_round_trip(self, trained_tiny, tiny_dataset, tmp_path, rng):
         path = tmp_path / "m.prnk"
         save(trained_tiny, path)
         xb, _ = tiny_dataset.sample_batch("test", 8, rng)
         np.testing.assert_allclose(forward(load(path), xb).data,
                                    forward(trained_tiny, xb).data, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the file format: damage of any kind is a FormatError, never another
+# exception and never a loaded network
+
+_LAYER_FIELDS = ("in_channels", "out_channels", "kernel", "stride", "pad",
+                 "in_features", "out_features")
+
+
+def _saved_blob(net, directory) -> bytes:
+    path = directory / "tiny.prnk"
+    save(net, path)
+    return path.read_bytes()
+
+
+def _header_fields(blob: bytes) -> list[tuple[str, tuple[int, str]]]:
+    """(name, (offset, struct format)) of every header and array-header field
+    of a saved file, walked as docs/format.md lays them out."""
+    fields = [("magic", (0, "<I")), ("version", (4, "<H")), ("flags", (6, "<B")),
+              ("num_classes", (7, "<I")), ("ndim", (11, "<B"))]
+    (ndim,) = struct.unpack_from("<B", blob, 11)
+    fields += [(f"input_shape{i}", (12 + 4 * i, "<I")) for i in range(ndim)]
+    pos = 12 + 4 * ndim
+    fields.append(("n_layers", (pos, "<I")))
+    (n_layers,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    kinds = []
+    for l in range(n_layers):
+        kinds.append(blob[pos])
+        fields.append((f"layer{l}.kind", (pos, "<B")))
+        fields += [(f"layer{l}.{name}", (pos + 1 + 4 * j, "<I"))
+                   for j, name in enumerate(_LAYER_FIELDS)]
+        pos += 29
+    for l, kind in enumerate(kinds):
+        if kind not in (0, 4):  # conv and dense carry parameters
+            continue
+        for name in ("w", "b"):
+            nd = blob[pos]
+            fields.append((f"layer{l}.{name}.ndim", (pos, "<B")))
+            dims = struct.unpack_from(f"<{nd}I", blob, pos + 1)
+            fields += [(f"layer{l}.{name}.dim{i}", (pos + 1 + 4 * i, "<I")) for i in range(nd)]
+            pos += 1 + 4 * nd + 8 * int(np.prod(dims))
+    assert pos == len(blob) - 4
+    return fields
+
+
+def _put(blob: bytes, off: int, fmt: str, value: int) -> bytes:
+    out = bytearray(blob[:-4])
+    struct.pack_into(fmt, out, off, value)
+    return bytes(out)
+
+
+def _resigned(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _assert_format_error(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        load(path)
+
+
+class TestFormatFuzz:
+    def test_every_truncation(self, trained_tiny, fuzz_dir):
+        blob = _saved_blob(trained_tiny, fuzz_dir)
+        path = fuzz_dir / "cut.prnk"
+        for n in range(len(blob)):
+            _assert_format_error(path, blob[:n])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_flip(self, trained_tiny, fuzz_dir, data):
+        blob = bytearray(_saved_blob(trained_tiny, fuzz_dir))
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        _assert_format_error(fuzz_dir / "flip.prnk", bytes(blob))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_resigned_header_field_mutation(self, trained_tiny, fuzz_dir, data):
+        blob = _saved_blob(trained_tiny, fuzz_dir)
+        name, (off, fmt) = data.draw(st.sampled_from(_header_fields(blob)), label="field")
+        (old,) = struct.unpack_from(fmt, blob, off)
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        # bit 0 of flags is the trained flag: either value is a valid file
+        low = 2 if name == "flags" else 0
+        # small values pass the cheap checks and reach the deeper ones
+        value = data.draw(st.one_of(st.integers(low, min(top, 300)), st.integers(low, top))
+                          .filter(lambda v: v != old), label="value")
+        _assert_format_error(fuzz_dir / "field.prnk", _resigned(_put(blob, off, fmt, value)))
+
+
+def test_layer_spec_rejects_fields_its_kind_does_not_use():
+    with pytest.raises(ShapeError, match="does not use field kernel"):
+        LayerSpec("relu", kernel=3)
+    with pytest.raises(ShapeError, match="stride"):
+        maxpool(kernel=2, stride=0)

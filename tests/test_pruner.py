@@ -12,8 +12,8 @@ from prunekit.network import (ChannelMask, Network, apply_mask, conv,
                               dense_layer, flatten_layer, forward, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
-                             prune_model, refit_layer, score_layer,
-                             select_channels, train_baseline)
+                             frozen_activations, prune_model, refit_layer,
+                             score_layer, select_channels, train_baseline)
 from prunekit.tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 
@@ -128,8 +128,8 @@ class TestRefitLayer:
         pruned = apply_mask(trained_tiny.copy(),
                             ChannelMask(0, np.array([True, True, False, True])))
         before = {n: t.data.tobytes() for _, n, t in pruned.parameters()}
-        refit_layer(trained_tiny, pruned, 0, cfg, tiny_dataset,
-                    np.random.default_rng(0))
+        acts = frozen_activations(trained_tiny, pruned, 0, cfg, tiny_dataset)
+        refit_layer(pruned, 0, cfg, acts, np.random.default_rng(0))
         after = {n: t.data.tobytes() for _, n, t in pruned.parameters()}
         assert before == after
 
@@ -141,29 +141,31 @@ class TestRefitLayer:
         eta = 0.1
         cfg = PruneConfig(rate=0.5, eta=eta, refit_epochs=1, batch_size=1,
                           enabled_losses=frozenset("r"), selection_batches=1)
-        refit_layer(base, pruned, 0, cfg, ds, np.random.default_rng(0))
+        acts = frozen_activations(base, pruned, 0, cfg, ds)
+        refit_layer(pruned, 0, cfg, acts, np.random.default_rng(0))
         # L_r = 0.5*((w-2)*x)^2 with x=0.5 -> grad = (w-2)*x*x = 0.25
         assert pruned.params[0]["w"].item() == pytest.approx(3.0 - eta * 0.25, abs=1e-12)
 
     def test_requires_mask(self, trained_tiny, tiny_dataset):
+        unmasked = trained_tiny.copy()
+        acts = frozen_activations(trained_tiny, unmasked, 0, small_cfg(), tiny_dataset)
         with pytest.raises(pk.pruner.PruneError, match="no mask"):
-            refit_layer(trained_tiny, trained_tiny.copy(), 0, small_cfg(),
-                        tiny_dataset, np.random.default_rng(0))
+            refit_layer(unmasked, 0, small_cfg(), acts, np.random.default_rng(0))
 
     def test_divergence_guard_triggers(self, trained_tiny, tiny_dataset):
         cfg = small_cfg(eta=0.5, refit_epochs=5, divergence_factor=0.01)
         pruned = apply_mask(trained_tiny.copy(),
                             ChannelMask(0, np.array([True, False, False, False])))
+        acts = frozen_activations(trained_tiny, pruned, 0, cfg, tiny_dataset)
         with pytest.raises(DivergenceError, match="diverged"):
-            refit_layer(trained_tiny, pruned, 0, cfg, tiny_dataset,
-                        np.random.default_rng(0))
+            refit_layer(pruned, 0, cfg, acts, np.random.default_rng(0))
 
     def test_curve_length_matches_epochs(self, trained_tiny, tiny_dataset):
         cfg = small_cfg(refit_epochs=3)
         pruned = apply_mask(trained_tiny.copy(),
                             ChannelMask(0, np.array([True, True, True, False])))
-        curve = refit_layer(trained_tiny, pruned, 0, cfg, tiny_dataset,
-                            np.random.default_rng(0))
+        acts = frozen_activations(trained_tiny, pruned, 0, cfg, tiny_dataset)
+        curve = refit_layer(pruned, 0, cfg, acts, np.random.default_rng(0))
         assert len(curve) == 3
         for bd in curve:
             assert bd.total == pytest.approx(
@@ -273,7 +275,8 @@ class TestLayerLocalGradients:
         seen = []
         monkeypatch.setattr(pruner, "channel_sensitivity",
                             lambda w, g: seen.append(g.copy()) or channel_sensitivity(w, g))
-        score_layer(trained_tiny, pruned, layer, cfg, tiny_dataset, np.random.default_rng(4))
+        acts = frozen_activations(trained_tiny, pruned, layer, cfg, tiny_dataset)
+        score_layer(pruned, layer, cfg, acts, np.random.default_rng(4))
 
         ref = _masked_at_zero(trained_tiny)
         assert all(_flags(ref))
@@ -291,15 +294,44 @@ class TestLayerLocalGradients:
         expect = ref.params[layer]["w"].grad / cfg.selection_batches
         assert len(seen) == 1 and np.array_equal(seen[0], expect)
 
+    @pytest.mark.parametrize("losses", ["rsc", "r"])
+    def test_refit_equals_full_graph_sgd(self, trained_tiny, tiny_dataset, losses):
+        """Refit at a deeper layer from the cached activations takes the same
+        steps as SGD through the full graph on ``Dataset.iter_batches`` batches."""
+        cfg = small_cfg(enabled_losses=frozenset(losses), refit_epochs=2)
+        keep = ChannelMask(2, np.array([True, False, True, True, False, True]))
+        pruned = apply_mask(_masked_at_zero(trained_tiny), keep)
+        acts = frozen_activations(trained_tiny, pruned, 2, cfg, tiny_dataset)
+        refit_layer(pruned, 2, cfg, acts, np.random.default_rng(4))
+
+        ref = apply_mask(_masked_at_zero(trained_tiny), keep)
+        kidx = np.flatnonzero(keep.keep)
+        rng = np.random.default_rng(4)
+        for _ in range(cfg.refit_epochs):
+            for xb, yb in tiny_dataset.iter_batches("train", cfg.batch_size, rng=rng):
+                tape = Tape()
+                f_base = forward(trained_tiny, xb, upto_layer=2)
+                logits, feats = forward(ref, xb, tape=tape, capture=(2,))
+                total, _ = joint_loss(reconstruction_loss(f_base, feats[2], tape),
+                                      correlation_loss(f_base, feats[2], tape),
+                                      softmax_cross_entropy(logits, yb, tape),
+                                      cfg.weights, cfg.enabled_losses, tape)
+                backward(total, tape)
+                for t in ref.params[2].values():
+                    t.data[kidx] -= cfg.eta * t.grad[kidx]
+                for _, _, t in ref.parameters():
+                    t.zero_grad()
+        for name in ("w", "b"):
+            assert np.array_equal(pruned.params[2][name].data, ref.params[2][name].data)
+
     def test_flags_restored_after_return(self, trained_tiny, tiny_dataset):
         pruned = _masked_at_zero(trained_tiny)
         pruned.params[6]["b"].requires_grad = False
         before = _flags(pruned)
-        score_layer(trained_tiny, pruned, 0, small_cfg(), tiny_dataset,
-                    np.random.default_rng(0))
+        acts = frozen_activations(trained_tiny, pruned, 0, small_cfg(), tiny_dataset)
+        score_layer(pruned, 0, small_cfg(), acts, np.random.default_rng(0))
         assert _flags(pruned) == before
-        refit_layer(trained_tiny, pruned, 0, small_cfg(), tiny_dataset,
-                    np.random.default_rng(0))
+        refit_layer(pruned, 0, small_cfg(), acts, np.random.default_rng(0))
         assert _flags(pruned) == before
         assert all(t.grad is None for _, _, t in pruned.parameters())
 
@@ -309,9 +341,9 @@ class TestLayerLocalGradients:
                             ChannelMask(0, np.array([True, False, False, False])))
         pruned.params[2]["w"].requires_grad = False
         before = _flags(pruned)
+        acts = frozen_activations(trained_tiny, pruned, 0, cfg, tiny_dataset)
         with pytest.raises(DivergenceError):
-            refit_layer(trained_tiny, pruned, 0, cfg, tiny_dataset,
-                        np.random.default_rng(0))
+            refit_layer(pruned, 0, cfg, acts, np.random.default_rng(0))
         assert _flags(pruned) == before
 
 

@@ -32,6 +32,28 @@ def naive_conv2d(x, w, stride, pad):
     return out
 
 
+def naive_max_pool2d(x, k, stride, g):
+    """Loop reference max-pool: forward value and the backward of ``g``, which
+    goes to the first window position (row-major) holding the max."""
+    b, c, h, wd = x.shape
+    ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
+    out = np.zeros((b, c, ho, wo))
+    gx = np.zeros_like(x)
+    for bi in range(b):
+        for ci in range(c):
+            for oi in range(ho):
+                for oj in range(wo):
+                    best = None
+                    for ki in range(k):
+                        for kj in range(k):
+                            v = x[bi, ci, oi * stride + ki, oj * stride + kj]
+                            if best is None or v > best[0]:
+                                best = (v, oi * stride + ki, oj * stride + kj)
+                    out[bi, ci, oi, oj] = best[0]
+                    gx[bi, ci, best[1], best[2]] += g[bi, ci, oi, oj]
+    return out, gx
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -103,6 +125,22 @@ class TestSimpleOps:
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = max_pool2d(x, 2, 2)
         np.testing.assert_array_equal(out.data.reshape(2, 2), [[5, 7], [13, 15]])
+
+    @pytest.mark.parametrize("k,stride,size", [(2, 2, 6), (3, 1, 5), (3, 2, 7)])
+    @pytest.mark.parametrize("values", ["random", "constant", "few_levels"])
+    def test_max_pool_matches_loop_oracle(self, rng, k, stride, size, values):
+        # constant and few-level inputs tie inside windows; k > stride overlaps them
+        x = {"random": rng.standard_normal((2, 3, size, size)),
+             "constant": np.full((2, 3, size, size), 0.5),
+             "few_levels": rng.integers(0, 3, size=(2, 3, size, size)).astype(float)}[values]
+        xt = Tensor(x, requires_grad=True)
+        tape = Tape()
+        out = max_pool2d(xt, k, stride, tape)
+        g = rng.standard_normal(out.shape)
+        expect_out, expect_gx = naive_max_pool2d(x, k, stride, g)
+        np.testing.assert_array_equal(out.data, expect_out)
+        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-12)
 
     def test_flatten_row_major(self):
         x = Tensor(np.arange(12.0).reshape(1, 3, 2, 2))
