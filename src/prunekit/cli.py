@@ -7,7 +7,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,38 +18,22 @@ from .network import Network, load, reference_specs, save
 from .pruner import PruneConfig, prune_model, train_baseline
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat experiment settings, loadable from a key=value file."""
-    arch: str = "reference"
-    data: str = "synth"
-    data_dir: str = ""
-    classes: int = 3
-    per_class: int = 100
-    image_size: int = 12
-    data_seed: int = 0
-    train_cap: int = 0
-    test_cap: int = 0
-    out: str = "out"
-    seed: int = 0
-    prune: PruneConfig = field(default_factory=lambda: PruneConfig(rate=0.3))
-
-    @classmethod
-    def from_file(cls, path: str) -> dict:
-        """Parse a flat key=value file into an override dict (strings)."""
-        if not os.path.exists(path):
-            raise DataError(f"config file {path} does not exist")
-        overrides = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                overrides[key] = value
-        return overrides
+def read_config(path: str) -> dict:
+    """Parse a flat key=value file (``#`` starts a comment) into a dict of
+    strings, one per flag it sets."""
+    if not os.path.exists(path):
+        raise DataError(f"config file {path} does not exist")
+    overrides = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            overrides[key] = value
+    return overrides
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -317,11 +301,12 @@ def main(argv=None) -> int:
             at = argv.index("--config")
             if at + 1 == len(argv):
                 raise DataError("--config needs a file path")
-            overrides = ExperimentConfig.from_file(argv[at + 1])
+            overrides = read_config(argv[at + 1])
             extra = []
             for key, value in overrides.items():
                 flag = "--" + key.replace("_", "-")
-                if flag not in argv:
+                # an explicit flag is spelled "--flag value" or "--flag=value"
+                if not any(a == flag or a.startswith(flag + "=") for a in argv):
                     extra += [flag, value]
             argv = argv[:at] + argv[at + 2:] + extra
         args = parser.parse_args(argv)

@@ -61,14 +61,6 @@ def suite_cases() -> dict:
         labels = rng.integers(0, 4, size=5)
         return (lambda tape: T.softmax_cross_entropy(logits, labels, tape)), [logits]
 
-    def gram_feature_case(rng):
-        f = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        return (lambda tape: _scalarize(T.gram_feature(f, tape), tape)), [f]
-
-    def gram_spatial_case(rng):
-        f = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        return (lambda tape: _scalarize(T.gram_spatial(f, tape), tape)), [f]
-
     def reconstruction_case(rng):
         fb = Tensor(rng.standard_normal((2, 3, 4, 4)))
         fp = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
@@ -96,14 +88,13 @@ def suite_cases() -> dict:
         "conv2d": conv_case(1, 1),
         "conv2d_stride2": conv_case(2, 1, size=7),
         "conv2d_nopad": conv_case(1, 0),
+        "conv2d_stride3": conv_case(3, 2, size=8),
         "relu": relu_case,
         "max_pool2d": pool_case(2, 2),
         "max_pool2d_overlap": pool_case(3, 1),
         "dense": dense_case,
         "flatten": flatten_case,
         "softmax_cross_entropy": softmax_case,
-        "gram_feature": gram_feature_case,
-        "gram_spatial": gram_spatial_case,
         "reconstruction_loss": reconstruction_case,
         "correlation_loss": correlation_case,
         "joint_loss": joint_case,

@@ -401,6 +401,9 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
             tape = Tape()
             loss = softmax_cross_entropy(forward(net, xb, tape=tape), yb, tape)
             backward(loss, tape)
+            # the tape's conv rules hold every layer's im2col matrix; free them
+            # before the next batch and the per-epoch evaluate
+            del tape
             for idx, name, t in net.parameters():
                 v = velocity[(idx, name)]
                 g = t.grad if t.grad is not None else 0.0

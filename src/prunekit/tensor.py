@@ -14,6 +14,16 @@ none, each backward rule computes only the input gradients whose tensor needs
 one, and ``.grad`` is written only into leaves (tensors no node produced). A
 caller that wants one layer's gradients clears ``requires_grad`` everywhere
 else and pays for nothing more.
+
+``conv2d`` is one im2col/GEMM kernel. The forward copies the (padded) input
+once into ``cols``, a contiguous ``[C*kh*kw, B*ho*wo]`` matrix whose rows run
+over (channel, tap row, tap column) and whose columns run over (image, output
+row, output column); the output is ``w.reshape(M, -1) @ cols``. In backward,
+``gw`` is ``g @ cols.T`` and reads ``cols``; ``gx`` is ``w.reshape(M, -1).T @ g``
+followed by a col2im of kh*kw plane adds into the padded input, and reads only
+the kernel; ``gb`` sums ``g``. So ``cols`` is kept by the backward rule only
+when ``w`` needs a gradient when the op is recorded, and is freed before the
+output copy otherwise.
 """
 
 from __future__ import annotations
@@ -226,29 +236,38 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}")
     ho, wo = span_h // stride + 1, span_w // stride + 1
 
+    # im2col: row (c, i, j) of cols holds input channel c at kernel tap (i, j)
+    # for every output position, columns ordered (b, oh, ow)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_data = np.einsum("bchwij,mcij->bmhw", win, w.data, optimize=True)
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * kh * kw, -1)
+    w2 = w.data.reshape(m, -1)
+    out_mp = w2 @ cols
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, m, 1, 1)
-    out = Tensor(out_data)
+        out_mp += bias.data[:, None]
+    # only gw reads cols again; a closure that keeps it pins C*kh*kw*B*ho*wo floats
+    if tape is None or not w.requires_grad:
+        cols = None
+    out = Tensor(out_mp.reshape(m, bsz, ho, wo).transpose(1, 0, 2, 3))
 
     if tape is not None:
         def bw(g):
+            g_mp = g.transpose(1, 0, 2, 3).reshape(m, -1)
             gx = gw = None
-            if w.requires_grad:
-                gw = np.einsum("bchwij,bmhw->mcij", win, g, optimize=True)
+            if cols is not None:
+                gw = (g_mp @ cols.T).reshape(w.shape)
             if x.requires_grad:
-                gcols = np.einsum("mcij,bmhw->bchwij", w.data, g, optimize=True)
-                gxp = np.zeros_like(xp)
+                # col2im: tap (i, j) of gcols is one contiguous [C,B,ho,wo] plane
+                gcols = (w2.T @ g_mp).reshape(cin, kh, kw, bsz, ho, wo)
+                gxp = np.zeros((cin, bsz, h + 2 * pad, wd + 2 * pad))
                 for i in range(kh):
                     for j in range(kw):
                         gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                            gcols[:, :, :, :, i, j]
-                gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
+                            gcols[:, i, j]
+                gx = gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
             if bias is None:
                 return gx, gw
-            return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+            return gx, gw, g_mp.sum(axis=1) if bias.requires_grad else None
         inputs = (x, w) if bias is None else (x, w, bias)
         tape.record(out, inputs, bw)
     return out
@@ -339,28 +358,4 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,
             p[np.arange(bsz), labels] -= 1.0
             return (g * p / bsz,)
         tape.record(out, (logits,), bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices over a channels-by-positions view of one feature map
-
-
-def gram_feature(f: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Channel-by-channel inner products: for f of shape [M,N], returns f @ f.T."""
-    if f.data.ndim != 2:
-        raise ShapeError(f"gram_feature: input must be 2-d [M,N], got {f.shape}")
-    out = Tensor(f.data @ f.data.T)
-    if tape is not None:
-        tape.record(out, (f,), lambda g: ((g + g.T) @ f.data,))
-    return out
-
-
-def gram_spatial(f: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Position-by-position inner products across channels: f.T @ f."""
-    if f.data.ndim != 2:
-        raise ShapeError(f"gram_spatial: input must be 2-d [M,N], got {f.shape}")
-    out = Tensor(f.data.T @ f.data)
-    if tape is not None:
-        tape.record(out, (f,), lambda g: (f.data @ (g + g.T),))
     return out

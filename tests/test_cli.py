@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from prunekit.cli import ExperimentConfig, main
+from prunekit.cli import main, read_config
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
 FAST_PRUNE = ["--selection-batches", "2", "--refit-epochs", "1", "--batch-size", "16"]
@@ -124,6 +124,15 @@ class TestConfigFile:
         assert rc == 0
         assert "train_error=" in capsys.readouterr().out
 
+    def test_explicit_equals_flag_beats_config(self, model_path, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("rate = 0.3\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "prune", "--model", str(model_path),
+                   "--out", str(out), "--rate=0.7", *FAST_DATA, *FAST_PRUNE])
+        assert rc == 0
+        assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
+
     @pytest.mark.parametrize("argv", [["prune", "--config"], ["--config"]])
     def test_config_without_value_single_line_error(self, argv, capsys):
         rc = main(argv)
@@ -136,9 +145,9 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("not a pair\n")
         with pytest.raises(DataError, match="key=value"):
-            ExperimentConfig.from_file(str(cfg))
+            read_config(str(cfg))
 
     def test_missing_config_file(self):
         from prunekit.data import DataError
         with pytest.raises(DataError, match="does not exist"):
-            ExperimentConfig.from_file("/nonexistent/exp.cfg")
+            read_config("/nonexistent/exp.cfg")

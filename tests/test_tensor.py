@@ -5,9 +5,8 @@ import pytest
 
 from prunekit.losses import correlation_loss, reconstruction_loss
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
-                             conv2d, dense, flatten, gram_feature, gram_spatial,
-                             max_pool2d, mul, relu, softmax_cross_entropy,
-                             sum_all)
+                             conv2d, dense, flatten, max_pool2d, mul, relu,
+                             softmax_cross_entropy, sum_all)
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -30,6 +29,28 @@ def naive_conv2d(x, w, stride, pad):
                                     * w[mi, ci, ki, kj]
                     out[bi, mi, oi, oj] = acc
     return out
+
+
+def naive_conv2d_backward(x, w, g, stride, pad):
+    """Loop reference for the gradients of ``sum(g * (conv2d(x, w) + bias))``:
+    every output element sends its ``g`` to each input and weight it read."""
+    b, c, h, wd = x.shape
+    m, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), np.zeros(m)
+    for bi in range(b):
+        for mi in range(m):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    go = g[bi, mi, oi, oj]
+                    gb[mi] += go
+                    for ci in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                hi, wj = oi * stride + ki, oj * stride + kj
+                                gxp[bi, ci, hi, wj] += go * w[mi, ci, ki, kj]
+                                gw[mi, ci, ki, kj] += go * xp[bi, ci, hi, wj]
+    return gxp[:, :, pad:pad + h, pad:pad + wd], gw, gb
 
 
 def naive_max_pool2d(x, k, stride, g):
@@ -80,6 +101,29 @@ class TestConv2d:
             pytest.skip("shape not representable")
         got = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
         np.testing.assert_allclose(got, naive_conv2d(x, w, stride, pad), atol=1e-6)
+
+    @pytest.mark.parametrize("stride,pad,x_shape,w_shape", [
+        (1, 0, (2, 3, 6, 6), (4, 3, 3, 3)),
+        (1, 1, (2, 3, 6, 6), (4, 3, 3, 3)),
+        (1, 2, (2, 3, 5, 5), (4, 3, 3, 3)),
+        (2, 0, (2, 3, 7, 7), (4, 3, 3, 3)),
+        (2, 1, (2, 3, 7, 7), (4, 3, 3, 3)),
+        (3, 2, (2, 3, 8, 8), (4, 3, 3, 3)),
+        (1, 1, (2, 3, 5, 7), (4, 3, 2, 3)),
+        (3, 2, (2, 3, 7, 8), (4, 3, 2, 3)),
+    ])
+    def test_backward_matches_naive_loop_oracle(self, rng, stride, pad, x_shape, w_shape):
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        bt = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+        tape = Tape()
+        out = conv2d(xt, wt, stride=stride, pad=pad, bias=bt, tape=tape)
+        g = rng.standard_normal(out.shape)
+        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        expect_gx, expect_gw, expect_gb = naive_conv2d_backward(x, w, g, stride, pad)
+        np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(wt.grad, expect_gw, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bt.grad, expect_gb, rtol=0, atol=1e-9)
 
     def test_channel_mismatch_names_dimensions(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
@@ -190,51 +234,15 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [6.0])
 
 
-class TestGram:
-    def test_identity_feature(self):
-        np.testing.assert_array_equal(gram_feature(Tensor(np.eye(2))).data, np.eye(2))
-        np.testing.assert_array_equal(gram_spatial(Tensor(np.eye(2))).data, np.eye(2))
-
-    def test_hand_inner_product_oracle(self):
-        f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(gram_feature(f).data, [[5.0, 11.0], [11.0, 25.0]])
-        np.testing.assert_array_equal(gram_spatial(f).data, [[10.0, 14.0], [14.0, 20.0]])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_exact_symmetry_and_psd(self, seed):
-        r = np.random.default_rng(seed)
-        f = Tensor(r.standard_normal((4, 9)))
-        for g in (gram_feature(f).data, gram_spatial(f).data):
-            np.testing.assert_array_equal(g, g.T)
-            for _ in range(10):
-                x = r.standard_normal(g.shape[0])
-                assert x @ g @ x >= -1e-9
-
-    def test_traces_equal_squared_frobenius(self, rng):
-        f = Tensor(rng.standard_normal((3, 7)))
-        sq = (f.data ** 2).sum()
-        assert np.trace(gram_feature(f).data) == pytest.approx(sq, rel=1e-6)
-        assert np.trace(gram_spatial(f).data) == pytest.approx(sq, rel=1e-6)
-
-    def test_scaling_law(self, rng):
-        f = rng.standard_normal((3, 5))
-        c = 1.7
-        np.testing.assert_allclose(gram_feature(Tensor(c * f)).data,
-                                   c * c * gram_feature(Tensor(f)).data, rtol=1e-6)
-        np.testing.assert_allclose(gram_spatial(Tensor(c * f)).data,
-                                   c * c * gram_spatial(Tensor(f)).data, rtol=1e-6)
-
-    def test_rank_check(self):
-        with pytest.raises(ShapeError):
-            gram_feature(Tensor(np.zeros((2, 2, 2))))
-
-
 # op name -> (input shapes, op(inputs, tape)); the op's own node comes first
 NEED_DRIVEN_CASES = {
     "conv2d_bias": ([(2, 3, 6, 6), (4, 3, 3, 3), (4,)],
                     lambda t, tape: conv2d(t[0], t[1], stride=1, pad=1, bias=t[2], tape=tape)),
     "conv2d_nobias": ([(2, 3, 7, 7), (4, 3, 3, 3)],
                       lambda t, tape: conv2d(t[0], t[1], stride=2, pad=1, tape=tape)),
+    "conv2d_stride3_rect": ([(2, 3, 7, 8), (4, 3, 2, 3), (4,)],
+                            lambda t, tape: conv2d(t[0], t[1], stride=3, pad=2, bias=t[2],
+                                                   tape=tape)),
     "dense": ([(4, 6), (6, 3), (3,)], lambda t, tape: dense(t[0], t[1], t[2], tape)),
     "mul_broadcast": ([(2, 3, 4, 4), (1, 3, 1, 1)], lambda t, tape: mul(t[0], t[1], tape)),
     "mul_same_shape": ([(3, 5), (3, 5)], lambda t, tape: mul(t[0], t[1], tape)),
