@@ -73,6 +73,13 @@ def reconstruction_loss(f_base: Tensor, f_pruned: Tensor,
     return out
 
 
+def grams(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature Grams F F^T [B,M,M] and spatial Grams F^T F [B,N,N] of [B,M,N] maps."""
+    if f.ndim != 3:
+        raise ShapeError(f"grams: expected [B,M,N], got {f.shape}")
+    return f @ f.transpose(0, 2, 1), f.transpose(0, 2, 1) @ f
+
+
 def correlation_loss(f_base: Tensor, f_pruned: Tensor,
                      tape: Optional[Tape] = None) -> Tensor:
     if f_base.shape != f_pruned.shape:
@@ -85,10 +92,8 @@ def correlation_loss(f_base: Tensor, f_pruned: Tensor,
     fb2 = fb.reshape(bsz, m, n)
     fp2 = fp.reshape(bsz, m, n)
 
-    gf_b = fb2 @ fb2.transpose(0, 2, 1)
-    gf_p = fp2 @ fp2.transpose(0, 2, 1)
-    gs_b = fb2.transpose(0, 2, 1) @ fb2
-    gs_p = fp2.transpose(0, 2, 1) @ fp2
+    gf_b, gs_b = grams(fb2)
+    gf_p, gs_p = grams(fp2)
     df = gf_b - gf_p
     ds = gs_b - gs_p
     coef = 1.0 / (4.0 * n * n * m * m)

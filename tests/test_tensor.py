@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from prunekit.losses import correlation_loss, reconstruction_loss
+from prunekit.losses import correlation_loss, grams, reconstruction_loss
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
                              conv2d, dense, flatten, max_pool2d, mul, relu,
                              softmax_cross_entropy, sum_all)
@@ -232,6 +232,49 @@ class TestBackward:
         loss = sum_all(mul(x, x, tape), tape)  # x used twice
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, [6.0])
+
+
+class TestGram:
+    """The batched Grams that correlation_loss compares, on one-example batches."""
+
+    def test_identity_feature(self):
+        gf, gs = grams(np.eye(2)[None])
+        np.testing.assert_array_equal(gf[0], np.eye(2))
+        np.testing.assert_array_equal(gs[0], np.eye(2))
+
+    def test_hand_inner_product_oracle(self):
+        gf, gs = grams(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        np.testing.assert_array_equal(gf[0], [[5.0, 11.0], [11.0, 25.0]])
+        np.testing.assert_array_equal(gs[0], [[10.0, 14.0], [14.0, 20.0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_symmetry_and_psd(self, seed):
+        r = np.random.default_rng(seed)
+        for g in grams(r.standard_normal((1, 4, 9))):
+            g = g[0]
+            np.testing.assert_array_equal(g, g.T)
+            for _ in range(10):
+                x = r.standard_normal(g.shape[0])
+                assert x @ g @ x >= -1e-9
+
+    def test_traces_equal_squared_frobenius(self, rng):
+        f = rng.standard_normal((1, 3, 7))
+        sq = (f ** 2).sum()
+        gf, gs = grams(f)
+        assert np.trace(gf[0]) == pytest.approx(sq, rel=1e-6)
+        assert np.trace(gs[0]) == pytest.approx(sq, rel=1e-6)
+
+    def test_scaling_law(self, rng):
+        f = rng.standard_normal((1, 3, 5))
+        c = 1.7
+        for scaled, plain in zip(grams(c * f), grams(f)):
+            np.testing.assert_allclose(scaled, c * c * plain, rtol=1e-6)
+
+    def test_rank_check(self):
+        with pytest.raises(ShapeError):
+            grams(np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            grams(np.zeros((1, 2, 2, 2)))
 
 
 # op name -> (input shapes, op(inputs, tape)); the op's own node comes first
