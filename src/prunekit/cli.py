@@ -98,6 +98,11 @@ def _prune_config(args) -> PruneConfig:
     )
 
 
+def _check_seeds(args) -> None:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -152,6 +157,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    _check_seeds(args)
     dataset = _load_dataset(args)
     net = load(args.model)
     base_cfg = _prune_config(args)
@@ -182,6 +188,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_rate_sweep(args) -> int:
+    _check_seeds(args)
     dataset = _load_dataset(args)
     net = load(args.model)
     base_cfg = _prune_config(args)

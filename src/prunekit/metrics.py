@@ -8,8 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .network import Network, forward
-from .tensor import Tensor
+from .network import Network, forward_chunks
 
 ABLATION_COMBOS: tuple[frozenset, ...] = (
     frozenset("r"), frozenset("s"), frozenset("c"),
@@ -58,21 +57,25 @@ def count_flops(net: Network) -> int:
     return total
 
 
+def error_rate(logits: np.ndarray, labels: np.ndarray, split: str) -> float:
+    """Top-1 error fraction of ``logits`` against ``labels``. Non-finite logits
+    raise ``DivergenceError``: argmax over a NaN row picks class 0, which would
+    read as a plausible error."""
+    if not np.isfinite(logits).all():
+        from .pruner import DivergenceError  # pruner imports this module
+        raise DivergenceError(
+            f"non-finite logits on the {split} split; the network holds NaN/Inf "
+            "weights or overflows")
+    return int((logits.argmax(axis=1) != labels).sum()) / len(labels)
+
+
 def evaluate(net: Network, dataset: Dataset, split: str = "test",
              batch_size: int = 256) -> float:
     """Top-1 error fraction of the network on one labeled split."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     images, labels = dataset.normalized(split)
-    wrong = 0
-    for start in range(0, len(images), batch_size):
-        xb = Tensor(images[start:start + batch_size])
-        logits = forward(net, xb)
-        if not np.isfinite(logits.data).all():
-            from .pruner import DivergenceError  # pruner imports this module
-            raise DivergenceError(
-                f"evaluate: non-finite logits on the {split} split; the network "
-                "holds NaN/Inf weights or overflows")
-        wrong += int((logits.data.argmax(axis=1) != labels[start:start + batch_size]).sum())
-    return wrong / len(images)
+    return error_rate(forward_chunks(net, images, batch_size), labels, split)
 
 
 def loss_combo_label(combo: frozenset) -> str:

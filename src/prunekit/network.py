@@ -239,6 +239,17 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
     return (h, feats) if capture else h
 
 
+def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
+                   upto_layer: Optional[int] = None) -> np.ndarray:
+    """Untaped ``forward`` of layers ``start..upto_layer`` over the rows of
+    ``x``, ``batch_size`` rows at a time; ``x`` itself if ``upto_layer < start``."""
+    if upto_layer is not None and upto_layer < start:
+        return x
+    return np.concatenate([
+        forward(net, Tensor(x[i:i + batch_size]), start=start, upto_layer=upto_layer).data
+        for i in range(0, len(x), batch_size)])
+
+
 def apply_mask(net: Network, mask: ChannelMask) -> Network:
     """Logically zero the masked output channels of one conv layer.
 

@@ -22,8 +22,9 @@ import numpy as np
 from .data import Dataset, epoch_indices, sample_indices
 from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
                      reconstruction_loss)
-from .metrics import CompressionStats, evaluate
-from .network import ChannelMask, Network, apply_mask, forward, materialize
+from .metrics import CompressionStats, error_rate, evaluate
+from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
+                      materialize)
 from .tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 
@@ -64,6 +65,8 @@ class PruneConfig:
             raise ValueError("selection_batches must be positive")
         if self.refit_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -168,30 +171,23 @@ class FrozenActivations:
     Refitting layer l changes only layer l's weights, so both arrays are
     computed once per layer, without a tape, and moved on to the next conv
     layer by ``advance_activations``. They hold about N_train times the
-    largest per-image map, in float64.
+    largest per-image map, in float64. After the sweep, ``prune_model`` reads
+    the report's masked train error from the last layer's ``x_in`` and, when
+    ``f_base`` is kept, the baseline train error from ``f_base``: only the
+    layers from the last conv layer on run again.
     """
     x_in: np.ndarray
     f_base: Optional[np.ndarray]
     labels: np.ndarray
 
 
-def _forward_chunks(net: Network, x: np.ndarray, start: int, upto: int,
-                    batch_size: int) -> np.ndarray:
-    """Untaped ``forward`` of layers ``start..upto`` over ``x`` in batches."""
-    if upto < start:
-        return x
-    return np.concatenate([
-        forward(net, Tensor(x[i:i + batch_size]), start=start, upto_layer=upto).data
-        for i in range(0, len(x), batch_size)])
-
-
 def frozen_activations(net_base: Network, net_pruned: Network, layer: int,
                        cfg: PruneConfig, dataset: Dataset) -> FrozenActivations:
     """The frozen activations of conv layer ``layer``, from the train images."""
     images, labels = dataset.normalized("train")
-    f_base = (_forward_chunks(net_base, images, 0, layer, cfg.batch_size)
+    f_base = (forward_chunks(net_base, images, cfg.batch_size, upto_layer=layer)
               if cfg.enabled_losses & {"r", "s"} else None)
-    x_in = _forward_chunks(net_pruned, images, 0, layer - 1, cfg.batch_size)
+    x_in = forward_chunks(net_pruned, images, cfg.batch_size, upto_layer=layer - 1)
     return FrozenActivations(x_in, f_base, labels)
 
 
@@ -201,10 +197,10 @@ def advance_activations(acts: FrozenActivations, net_base: Network,
     """Move the frozen activations of conv layer ``layer`` on to conv layer
     ``nxt``, once layer ``layer`` is masked and refit: the pruned input runs
     through layers ``layer..nxt-1``, the baseline map through ``layer+1..nxt``."""
-    f_base = (_forward_chunks(net_base, acts.f_base, layer + 1, nxt, cfg.batch_size)
+    f_base = (forward_chunks(net_base, acts.f_base, cfg.batch_size, layer + 1, nxt)
               if acts.f_base is not None else None)
     return FrozenActivations(
-        _forward_chunks(net_pruned, acts.x_in, layer, nxt - 1, cfg.batch_size),
+        forward_chunks(net_pruned, acts.x_in, cfg.batch_size, layer, nxt - 1),
         f_base, acts.labels)
 
 
@@ -335,7 +331,16 @@ def prune_model(net_base: Network, cfg: PruneConfig,
         if nxt is not None:
             acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
 
-    masked_train = evaluate(pruned, dataset, "train")
+    # both train errors from the last conv layer's frozen activations: only the
+    # layers from that conv layer on run again; the cache is freed after
+    last = convs[-1]
+    masked_train = error_rate(forward_chunks(pruned, acts.x_in, cfg.batch_size, last),
+                              acts.labels, "train")
+    baseline_train = (
+        error_rate(forward_chunks(net_base, acts.f_base, cfg.batch_size, last + 1),
+                   acts.labels, "train")
+        if acts.f_base is not None else evaluate(net_base, dataset, "train"))
+    del acts
     masked_test = evaluate(pruned, dataset, "test")
 
     final = materialize(pruned, [ChannelMask(l, np.isin(np.arange(net_base.specs[l].out_channels),
@@ -357,7 +362,7 @@ def prune_model(net_base: Network, cfg: PruneConfig,
             "losses": "".join(k for k in "rsc" if k in cfg.enabled_losses),
             "seed": cfg.seed, "batch_size": cfg.batch_size,
         },
-        baseline_train_error=evaluate(net_base, dataset, "train"),
+        baseline_train_error=baseline_train,
         baseline_test_error=evaluate(net_base, dataset, "test"),
         masked_train_error=masked_train,
         masked_test_error=masked_test,
@@ -390,6 +395,8 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
               divergence_factor: float = 10.0) -> list[dict]:
     """SGD-with-momentum training of every parameter on the cross-entropy loss.
     Returns a per-epoch log of mean loss and train/test error."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     velocity = {(idx, name): np.zeros_like(t.data) for idx, name, t in net.parameters()}
     log: list[dict] = []
@@ -436,6 +443,8 @@ def train_baseline(net: Network, dataset: Dataset, epochs: int, eta: float = 0.0
                    batch_size: int = 32, momentum: float = 0.9,
                    seed: int = 0) -> list[dict]:
     """Train a fresh network as the pruning baseline and flag it as trained."""
+    if epochs < 1:
+        raise ValueError(f"a baseline needs at least one training epoch, got {epochs}")
     log = fine_tune(net, dataset, epochs, eta_schedule=eta, batch_size=batch_size,
                     momentum=momentum, seed=seed)
     net.meta["trained"] = True

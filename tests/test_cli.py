@@ -27,6 +27,16 @@ class TestTrainEval:
         assert rc == 0
         assert "test_error=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,named", [("--epochs", "epoch"), ("--batch-size", "batch_size")])
+    def test_zero_training_flag_writes_no_model(self, tmp_path, capsys, flag, named):
+        # --epochs 0 once saved an untrained net flagged as trained
+        path = tmp_path / "base.prnk"
+        rc = main(["train", "--model", str(path), "--epochs", "1", *FAST_DATA, flag, "0"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and named in err and "\n" not in err
+        assert not path.exists()
+
     def test_missing_model_single_line_error(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.prnk"), *FAST_DATA])
         assert rc == 1
@@ -65,6 +75,13 @@ class TestPrune:
         assert rc == 1
         assert "at least one" in capsys.readouterr().err
 
+    def test_zero_batch_size_single_line_error(self, model_path, tmp_path, capsys):
+        rc = main(["prune", "--model", str(model_path), "--out", str(tmp_path / "p"),
+                   *FAST_DATA, *FAST_PRUNE, "--batch-size", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "batch_size" in err and "\n" not in err
+
     def test_unknown_flag_nonzero_exit(self, model_path):
         with pytest.raises(SystemExit) as exc:
             main(["prune", "--model", str(model_path), "--frobnicate", "1"])
@@ -88,6 +105,17 @@ class TestTables:
         assert rc == 0
         lines = (tmp_path / "rate_sweep.csv").read_text().strip().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["0.3", "0.6"]
+
+    @pytest.mark.parametrize("command", ["ablation", "rate-sweep"])
+    def test_zero_seeds_single_line_error(self, model_path, tmp_path, capsys, command):
+        # --seeds 0 once wrote an empty or NaN table and exited 0
+        out = tmp_path / "out"
+        rc = main([command, "--model", str(model_path), "--out", str(out),
+                   "--seeds", "0", *FAST_DATA, *FAST_PRUNE])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "--seeds" in err and "\n" not in err
+        assert not out.exists()
 
     def test_report_renders(self, model_path, tmp_path, capsys):
         out = tmp_path / "p"

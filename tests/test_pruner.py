@@ -218,6 +218,43 @@ class TestPruneModel:
         with pytest.raises(ValueError, match="rate"):
             PruneConfig(rate=0.0)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_validation(self, batch_size):
+        # 0 once failed in range(), -3 in np.concatenate, both deep in the sweep
+        with pytest.raises(ValueError, match="batch_size"):
+            PruneConfig(rate=0.5, batch_size=batch_size)
+
+
+class TestReportTrainErrors:
+    """The report's train errors come from the frozen activations after the
+    sweep, and must equal full-depth ``evaluate`` passes."""
+
+    @pytest.mark.parametrize("losses", ["r", "s", "c", "rs", "rc", "sc", "rsc"])
+    def test_equal_full_evaluate(self, trained_tiny, tiny_dataset, losses):
+        final, report = prune_model(
+            trained_tiny, small_cfg(enabled_losses=frozenset(losses)), tiny_dataset)
+        assert report.baseline_train_error == pk.evaluate(trained_tiny, tiny_dataset, "train")
+        assert report.masked_train_error == pk.evaluate(final, tiny_dataset, "train")
+
+    def test_nan_dense_weight_raises(self, trained_tiny, tiny_dataset):
+        # under r the sweep never runs the dense head, so the cached train-error
+        # passes meet the NaN first and must keep evaluate's non-finite check
+        net = trained_tiny.copy()
+        net.params[6]["w"].data[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite logits"):
+            prune_model(net, small_cfg(enabled_losses=frozenset("r")), tiny_dataset)
+
+    @pytest.mark.parametrize("losses,calls", [("r", 4), ("s", 4), ("rsc", 4), ("c", 5)])
+    def test_evaluate_calls(self, trained_tiny, tiny_dataset, monkeypatch, losses, calls):
+        # masked test, baseline test, final train and test; the baseline train
+        # error needs its own pass only when no baseline map is kept
+        seen = []
+        monkeypatch.setattr(pruner, "evaluate",
+                            lambda net, ds, split, **kw: seen.append(split)
+                            or pk.evaluate(net, ds, split, **kw))
+        prune_model(trained_tiny, small_cfg(enabled_losses=frozenset(losses)), tiny_dataset)
+        assert len(seen) == calls
+
 
 class TestFineTune:
     def test_zero_epochs_leaves_network_unchanged(self, trained_tiny, tiny_dataset):
@@ -238,6 +275,25 @@ class TestFineTune:
         net.params[0]["w"].data[0, 0, 0, 0] = np.nan
         with pytest.raises(DivergenceError, match="nan"):
             fine_tune(net, tiny_dataset, epochs=2, seed=0)
+
+    def test_bad_batch_size_rejected_before_training(self, trained_tiny, tiny_dataset):
+        net = trained_tiny.copy()
+        before = {(i, n): t.data.tobytes() for i, n, t in net.parameters()}
+        for batch_size in (0, -3):
+            with pytest.raises(ValueError, match="batch_size"):
+                fine_tune(net, tiny_dataset, epochs=1, batch_size=batch_size)
+            with pytest.raises(ValueError, match="batch_size"):
+                pk.evaluate(net, tiny_dataset, "test", batch_size=batch_size)
+        assert {(i, n): t.data.tobytes() for i, n, t in net.parameters()} == before
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_baseline_needs_an_epoch(self, tiny_net, tiny_dataset, epochs):
+        # zero epochs once returned an untrained net flagged as trained
+        before = {(i, n): t.data.tobytes() for i, n, t in tiny_net.parameters()}
+        with pytest.raises(ValueError, match="epoch"):
+            train_baseline(tiny_net, tiny_dataset, epochs=epochs)
+        assert not tiny_net.meta.get("trained")
+        assert {(i, n): t.data.tobytes() for i, n, t in tiny_net.parameters()} == before
 
     def test_nan_baseline_is_never_flagged_trained(self, tiny_net, tiny_dataset):
         tiny_net.params[0]["w"].data[0, 0, 0, 0] = np.nan
