@@ -3,14 +3,13 @@
 from .data import Dataset, DataError, load_cifar10, synth_dataset
 from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
                      reconstruction_loss)
-from .metrics import (CompressionStats, count_flops, count_params, evaluate,
-                      run_ablation)
+from .metrics import CompressionStats, count_flops, count_params, evaluate
 from .network import (ChannelMask, FormatError, LayerSpec, Network, apply_mask,
                       forward, load, materialize, reference_specs, save)
 from .pruner import (ChannelSelection, DivergenceError, PruneConfig, PruneReport,
                      UntrainedBaselineError, budget_for, channel_sensitivity,
                      fine_tune, frozen_activations, prune_model, refit_layer,
-                     select_channels, train_baseline)
+                     run_ablation, select_channels, train_baseline)
 from .tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 __all__ = [

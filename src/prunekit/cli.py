@@ -5,17 +5,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import gradcheck, metrics, network, pruner
+from . import gradcheck, metrics
 from .data import DataError, Dataset, load_cifar10, synth_dataset
 from .losses import LossWeights
 from .network import Network, load, reference_specs, save
-from .pruner import PruneConfig, prune_model, train_baseline
+from .pruner import PruneConfig, prune_model, prune_runs, train_baseline
 
 
 def read_config(path: str) -> dict:
@@ -103,11 +104,33 @@ def _check_seeds(args) -> None:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[str]) -> int:
+    """Prune the baseline under each ``(label, config)`` row once per seed,
+    without fine-tuning, since the table reports masked errors only. Each row
+    gets the seed-order mean of its masked errors; ``<name>.csv`` holds them as
+    ``repr`` floats, ``<name>.txt`` and stdout as an aligned table."""
+    dataset = _load_dataset(args)
+    net = load(args.model)
+    os.makedirs(args.out, exist_ok=True)
+    seeds = range(args.seeds)
+    reports = [report for _, report in prune_runs(
+        net, [replace(cfg, seed=seed, finetune_epochs=0) for _, cfg in rows for seed in seeds],
+        dataset)]
+    summary = []
+    for i, (label, _) in enumerate(rows):
+        runs = reports[i * len(seeds):(i + 1) * len(seeds)]
+        summary.append({key: label,
+                        "train_error": float(np.mean([r.masked_train_error for r in runs])),
+                        "test_error": float(np.mean([r.masked_test_error for r in runs]))})
+    with open(os.path.join(args.out, name + ".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([key, *columns])
+        writer.writerows([row[key], *(repr(row[c]) for c in columns)] for row in summary)
+    text = metrics.format_table(summary, [key, *columns])
+    with open(os.path.join(args.out, name + ".txt"), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +148,7 @@ def cmd_train(args) -> int:
     log = train_baseline(net, dataset, args.epochs, eta=args.eta,
                          batch_size=args.batch_size, seed=args.seed)
     save(net, args.model)
-    final = log[-1] if log else {"train_error": float("nan"), "test_error": float("nan")}
+    final = log[-1]
     print(f"trained {args.epochs} epochs: train_err={final['train_error']:.4f} "
           f"test_err={final['test_error']:.4f} -> {args.model}")
     return 0
@@ -158,59 +181,20 @@ def cmd_eval(args) -> int:
 
 def cmd_ablation(args) -> int:
     _check_seeds(args)
-    dataset = _load_dataset(args)
-    net = load(args.model)
-    base_cfg = _prune_config(args)
-    os.makedirs(args.out, exist_ok=True)
-
-    per_seed: dict[str, list[dict]] = {}
-    for seed in range(args.seeds):
-        rows = metrics.run_ablation(net, dataset, replace(base_cfg, seed=seed))
-        for row in rows:
-            per_seed.setdefault(row["losses"], []).append(row)
-
-    summary = []
-    for label, rows in per_seed.items():
-        summary.append({
-            "losses": label,
-            "train_error": float(np.mean([r["train_error"] for r in rows])),
-            "test_error": float(np.mean([r["test_error"] for r in rows])),
-        })
-    _write_csv(os.path.join(args.out, "ablation.csv"),
-               ["losses", "train_error", "test_error"],
-               [[r["losses"], repr(r["train_error"]), repr(r["test_error"])]
-                for r in summary])
-    text = metrics.format_table(summary, ["losses", "train_error", "test_error"])
-    with open(os.path.join(args.out, "ablation.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0
+    base = _prune_config(args)
+    return _masked_table(args, "ablation", "losses",
+                         [(metrics.loss_combo_label(combo), replace(base, enabled_losses=combo))
+                          for combo in metrics.ABLATION_COMBOS],
+                         ["train_error", "test_error"])
 
 
 def cmd_rate_sweep(args) -> int:
     _check_seeds(args)
-    dataset = _load_dataset(args)
-    net = load(args.model)
-    base_cfg = _prune_config(args)
-    rates = [float(r) for r in args.rates.split(",")]
-    os.makedirs(args.out, exist_ok=True)
-
-    summary = []
-    for rate in rates:
-        errs = []
-        for seed in range(args.seeds):
-            cfg = replace(base_cfg, rate=rate, seed=seed)
-            _, report = prune_model(net, cfg, dataset)
-            errs.append(report.masked_test_error)
-        summary.append({"rate": rate, "test_error": float(np.mean(errs))})
-    _write_csv(os.path.join(args.out, "rate_sweep.csv"),
-               ["rate", "test_error"],
-               [[r["rate"], repr(r["test_error"])] for r in summary])
-    text = metrics.format_table(summary, ["rate", "test_error"])
-    with open(os.path.join(args.out, "rate_sweep.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0
+    base = _prune_config(args)
+    return _masked_table(args, "rate_sweep", "rate",
+                         [(rate, replace(base, rate=rate))
+                          for rate in (float(r) for r in args.rates.split(","))],
+                         ["test_error"])
 
 
 def cmd_check_grad(args) -> int:
@@ -223,7 +207,6 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import json
     with open(args.report) as fh:
         doc = json.load(fh)
     errors = doc["errors"]

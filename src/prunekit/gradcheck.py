@@ -103,6 +103,8 @@ def suite_cases() -> dict:
 
 def run_suite(n_seeds: int = 20, rtol: float = 1e-3) -> list[tuple[str, float, bool]]:
     """Run every case over ``n_seeds`` seeds; returns (name, worst rel, passed)."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     results = []
     for name, builder in suite_cases().items():
         worst, ok = 0.0, True

@@ -1,4 +1,8 @@
-"""Parameter/FLOPs accounting, evaluation, and the loss-combination ablation."""
+"""Parameter/FLOPs accounting, top-1 evaluation, the ablation's loss
+combinations and the plain-text table of the CLI's results.
+
+The pruning errors live here, below ``pruner``, because ``error_rate`` raises
+``DivergenceError`` too."""
 
 from __future__ import annotations
 
@@ -9,6 +13,16 @@ import numpy as np
 
 from .data import Dataset
 from .network import Network, forward_chunks
+
+
+class PruneError(RuntimeError):
+    pass
+
+
+class DivergenceError(PruneError):
+    """A loss or the network's output became non-finite, or an optimization's
+    total loss blew past the configured guard threshold."""
+
 
 ABLATION_COMBOS: tuple[frozenset, ...] = (
     frozenset("r"), frozenset("s"), frozenset("c"),
@@ -62,7 +76,6 @@ def error_rate(logits: np.ndarray, labels: np.ndarray, split: str) -> float:
     raise ``DivergenceError``: argmax over a NaN row picks class 0, which would
     read as a plausible error."""
     if not np.isfinite(logits).all():
-        from .pruner import DivergenceError  # pruner imports this module
         raise DivergenceError(
             f"non-finite logits on the {split} split; the network holds NaN/Inf "
             "weights or overflows")
@@ -80,26 +93,6 @@ def evaluate(net: Network, dataset: Dataset, split: str = "test",
 
 def loss_combo_label(combo: frozenset) -> str:
     return "+".join(k for k in "rsc" if k in combo)
-
-
-def run_ablation(net_base: Network, dataset: Dataset, cfg,
-                 combos: Sequence[frozenset] = ABLATION_COMBOS) -> list[dict]:
-    """Prune the same baseline once per loss combination (same seed, no
-    fine-tuning) and report masked-model train/test error per row."""
-    from dataclasses import replace
-
-    from .pruner import prune_model
-
-    rows = []
-    for combo in combos:
-        run_cfg = replace(cfg, enabled_losses=frozenset(combo), finetune_epochs=0)
-        _, report = prune_model(net_base, run_cfg, dataset)
-        rows.append({
-            "losses": loss_combo_label(combo),
-            "train_error": report.masked_train_error,
-            "test_error": report.masked_test_error,
-        })
-    return rows
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str]) -> str:

@@ -5,7 +5,8 @@ gradients of the joint loss over a handful of batches, scores every output
 channel by the squared gradient-times-weight mass of its kernel slice, keeps
 the top-K, masks the rest, and refits the surviving slice with plain SGD while
 the baseline stays frozen. Afterwards the masked channels are physically
-removed and the whole network is optionally fine-tuned.
+removed and the whole network is optionally fine-tuned. ``prune_runs`` does
+this for a list of configs on one baseline, whose errors it computes once.
 """
 
 from __future__ import annotations
@@ -13,32 +14,25 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset, epoch_indices, sample_indices
 from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
                      reconstruction_loss)
-from .metrics import CompressionStats, error_rate, evaluate
+from .metrics import (ABLATION_COMBOS, CompressionStats, DivergenceError,
+                      PruneError, error_rate, evaluate, loss_combo_label)
 from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
                       materialize)
 from .tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 
-class PruneError(RuntimeError):
-    pass
-
-
 class UntrainedBaselineError(PruneError):
     """The baseline model's metadata says it was never trained."""
-
-
-class DivergenceError(PruneError):
-    """A loss or the network's output became non-finite, or an optimization's
-    total loss blew past the configured guard threshold."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,6 @@ class PruneReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def write_loss_curves(self, out_dir) -> None:
-        import os
         for l, curve in self.loss_curves.items():
             path = os.path.join(str(out_dir), f"layer_{l}_losses.csv")
             with open(path, "w", newline="") as fh:
@@ -303,94 +296,110 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     return history
 
 
-def prune_model(net_base: Network, cfg: PruneConfig,
-                dataset: Dataset) -> tuple[Network, PruneReport]:
-    """Full sweep: per-layer score/select/mask/refit, then materialize and
-    optionally fine-tune."""
+def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
+               dataset: Dataset) -> Iterator[tuple[Network, PruneReport]]:
+    """Prune ``net_base`` once per config, in order: per-layer
+    score/select/mask/refit, then materialize and optionally fine-tune.
+
+    The baseline's errors are computed once per call: the test error with one
+    ``evaluate``, the train error from the first run's baseline map when that
+    run keeps one, else with one ``evaluate``. Without fine-tuning the final
+    errors are the masked ones, since removing the masked channels leaves the
+    outputs unchanged; after it they are the last epoch's logged errors."""
     if not net_base.meta.get("trained"):
         raise UntrainedBaselineError("baseline model metadata says it is untrained")
     convs = net_base.conv_layers()
     if not convs:
         raise PruneError("network has no prunable conv layers")
-
-    rng = np.random.default_rng(cfg.seed)
-    pruned = net_base.copy()
-    selections: dict[int, ChannelSelection] = {}
-    curves: dict[int, list[LossBreakdown]] = {}
-
-    acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
-    for layer, nxt in zip(convs, convs[1:] + [None]):
-        delta = score_layer(pruned, layer, cfg, acts, rng)
-        channels = net_base.specs[layer].out_channels
-        sel = select_channels(delta, budget_for(channels, cfg.rate), layer=layer)
-        keep = np.zeros(channels, dtype=bool)
-        keep[sel.retained] = True
-        pruned = apply_mask(pruned, ChannelMask(layer, keep))
-        selections[layer] = sel
-        curves[layer] = refit_layer(pruned, layer, cfg, acts, rng) if cfg.refit_epochs else []
-        if nxt is not None:
-            acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
-
-    # both train errors from the last conv layer's frozen activations: only the
-    # layers from that conv layer on run again; the cache is freed after
     last = convs[-1]
-    masked_train = error_rate(forward_chunks(pruned, acts.x_in, cfg.batch_size, last),
-                              acts.labels, "train")
-    baseline_train = (
-        error_rate(forward_chunks(net_base, acts.f_base, cfg.batch_size, last + 1),
-                   acts.labels, "train")
-        if acts.f_base is not None else evaluate(net_base, dataset, "train"))
-    del acts
-    masked_test = evaluate(pruned, dataset, "test")
+    baseline: Optional[tuple[float, float]] = None
 
-    final = materialize(pruned, [ChannelMask(l, np.isin(np.arange(net_base.specs[l].out_channels),
-                                                        selections[l].retained))
-                                 for l in convs])
-    finetune_log: list[dict] = []
-    if cfg.finetune_epochs:
-        finetune_log = fine_tune(final, dataset, cfg.finetune_epochs,
-                                 eta_schedule=cfg.finetune_eta, batch_size=cfg.batch_size,
-                                 momentum=cfg.momentum, seed=cfg.seed,
-                                 divergence_factor=cfg.divergence_factor)
-    final.meta["trained"] = True
+    for cfg in cfgs:
+        rng = np.random.default_rng(cfg.seed)
+        pruned = net_base.copy()
+        selections: dict[int, ChannelSelection] = {}
+        curves: dict[int, list[LossBreakdown]] = {}
 
-    report = PruneReport(
-        config={
-            "rate": cfg.rate, "alpha": cfg.weights.alpha, "beta": cfg.weights.beta,
-            "eta": cfg.eta, "selection_batches": cfg.selection_batches,
-            "refit_epochs": cfg.refit_epochs, "finetune_epochs": cfg.finetune_epochs,
-            "losses": "".join(k for k in "rsc" if k in cfg.enabled_losses),
-            "seed": cfg.seed, "batch_size": cfg.batch_size,
-        },
-        baseline_train_error=baseline_train,
-        baseline_test_error=evaluate(net_base, dataset, "test"),
-        masked_train_error=masked_train,
-        masked_test_error=masked_test,
-        final_train_error=evaluate(final, dataset, "train"),
-        final_test_error=evaluate(final, dataset, "test"),
-        selections=selections,
-        loss_curves=curves,
-        stats=CompressionStats.compare(net_base, final),
-        finetune_log=finetune_log,
-    )
-    return final, report
+        acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
+        for layer, nxt in zip(convs, convs[1:] + [None]):
+            delta = score_layer(pruned, layer, cfg, acts, rng)
+            channels = net_base.specs[layer].out_channels
+            sel = select_channels(delta, budget_for(channels, cfg.rate), layer=layer)
+            keep = np.zeros(channels, dtype=bool)
+            keep[sel.retained] = True
+            pruned = apply_mask(pruned, ChannelMask(layer, keep))
+            selections[layer] = sel
+            curves[layer] = refit_layer(pruned, layer, cfg, acts, rng) if cfg.refit_epochs else []
+            if nxt is not None:
+                acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
+
+        # train errors from the last conv layer's frozen activations: only the
+        # layers from that conv layer on run again; the cache is freed after
+        masked_train = error_rate(forward_chunks(pruned, acts.x_in, cfg.batch_size, last),
+                                  acts.labels, "train")
+        if baseline is None:
+            baseline = (
+                error_rate(forward_chunks(net_base, acts.f_base, cfg.batch_size, last + 1),
+                           acts.labels, "train")
+                if acts.f_base is not None else evaluate(net_base, dataset, "train"),
+                evaluate(net_base, dataset, "test"))
+        del acts
+        masked_test = evaluate(pruned, dataset, "test")
+
+        final = materialize(pruned, [ChannelMask(l, np.isin(np.arange(net_base.specs[l].out_channels),
+                                                            selections[l].retained))
+                                     for l in convs])
+        finetune_log: list[dict] = []
+        final_train, final_test = masked_train, masked_test
+        if cfg.finetune_epochs:
+            finetune_log = fine_tune(final, dataset, cfg.finetune_epochs, eta=cfg.finetune_eta,
+                                     batch_size=cfg.batch_size, momentum=cfg.momentum,
+                                     seed=cfg.seed, divergence_factor=cfg.divergence_factor)
+            final_train, final_test = (finetune_log[-1]["train_error"],
+                                       finetune_log[-1]["test_error"])
+        final.meta["trained"] = True
+
+        yield final, PruneReport(
+            config={
+                "rate": cfg.rate, "alpha": cfg.weights.alpha, "beta": cfg.weights.beta,
+                "eta": cfg.eta, "selection_batches": cfg.selection_batches,
+                "refit_epochs": cfg.refit_epochs, "finetune_epochs": cfg.finetune_epochs,
+                "losses": "".join(k for k in "rsc" if k in cfg.enabled_losses),
+                "seed": cfg.seed, "batch_size": cfg.batch_size,
+            },
+            baseline_train_error=baseline[0],
+            baseline_test_error=baseline[1],
+            masked_train_error=masked_train,
+            masked_test_error=masked_test,
+            final_train_error=final_train,
+            final_test_error=final_test,
+            selections=selections,
+            loss_curves=curves,
+            stats=CompressionStats.compare(net_base, final),
+            finetune_log=finetune_log,
+        )
 
 
-EtaSchedule = Union[float, Sequence[float], Callable[[int], float], None]
+def prune_model(net_base: Network, cfg: PruneConfig,
+                dataset: Dataset) -> tuple[Network, PruneReport]:
+    """Prune ``net_base`` under one config; see ``prune_runs``."""
+    (run,) = prune_runs(net_base, [cfg], dataset)
+    return run
 
 
-def _eta_at(schedule: EtaSchedule, epoch: int, default: float = 0.01) -> float:
-    if schedule is None:
-        return default
-    if callable(schedule):
-        return float(schedule(epoch))
-    if isinstance(schedule, (int, float)):
-        return float(schedule)
-    return float(schedule[min(epoch, len(schedule) - 1)])
+def run_ablation(net_base: Network, dataset: Dataset, cfg: PruneConfig,
+                 combos: Sequence[frozenset] = ABLATION_COMBOS) -> list[dict]:
+    """Prune the same baseline once per loss combination (same seed, no
+    fine-tuning) and report masked-model train/test error per row."""
+    runs = prune_runs(net_base, [replace(cfg, enabled_losses=frozenset(combo), finetune_epochs=0)
+                                 for combo in combos], dataset)
+    return [{"losses": loss_combo_label(combo), "train_error": report.masked_train_error,
+             "test_error": report.masked_test_error}
+            for combo, (_, report) in zip(combos, runs)]
 
 
 def fine_tune(net: Network, dataset: Dataset, epochs: int,
-              eta_schedule: EtaSchedule = None, batch_size: int = 32,
+              eta: float = 0.01, batch_size: int = 32,
               momentum: float = 0.9, seed: int = 0,
               divergence_factor: float = 10.0) -> list[dict]:
     """SGD-with-momentum training of every parameter on the cross-entropy loss.
@@ -402,7 +411,6 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
     log: list[dict] = []
     initial_loss: Optional[float] = None
     for epoch in range(epochs):
-        eta = _eta_at(eta_schedule, epoch)
         total, batches = 0.0, 0
         for xb, yb in dataset.iter_batches("train", batch_size, rng=rng):
             tape = Tape()
@@ -445,7 +453,7 @@ def train_baseline(net: Network, dataset: Dataset, epochs: int, eta: float = 0.0
     """Train a fresh network as the pruning baseline and flag it as trained."""
     if epochs < 1:
         raise ValueError(f"a baseline needs at least one training epoch, got {epochs}")
-    log = fine_tune(net, dataset, epochs, eta_schedule=eta, batch_size=batch_size,
+    log = fine_tune(net, dataset, epochs, eta=eta, batch_size=batch_size,
                     momentum=momentum, seed=seed)
     net.meta["trained"] = True
     return log

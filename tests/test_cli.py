@@ -1,8 +1,11 @@
+import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+import prunekit as pk
 from prunekit.cli import main, read_config
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
@@ -116,6 +119,41 @@ class TestTables:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "--seeds" in err and "\n" not in err
         assert not out.exists()
+
+    def test_check_grad_zero_seeds_single_line_error(self, capsys):
+        # --seeds 0 once checked nothing and printed PASS for every case
+        rc = main(["check-grad", "--seeds", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "seeds" in err and "\n" not in err
+        assert captured.out == ""
+
+    def test_cells_are_seed_means_of_prune_model(self, model_path, tmp_path):
+        # each cell is the mean over seeds 0 and 1 of prune_model's masked
+        # error for that row, even when --finetune-epochs asks for fine-tuning
+        net = pk.load(str(model_path))
+        ds = pk.synth_dataset(3, 20, image_size=8, seed=0)
+        base = pk.PruneConfig(rate=0.3, selection_batches=2, refit_epochs=1, batch_size=16)
+
+        def mean_errors(cfg):
+            reports = [pk.prune_model(net, replace(cfg, seed=s), ds)[1] for s in (0, 1)]
+            return [repr((reports[0].masked_train_error + reports[1].masked_train_error) / 2),
+                    repr((reports[0].masked_test_error + reports[1].masked_test_error) / 2)]
+
+        def cells(command, name, *extra):
+            out = tmp_path / command
+            rc = main([command, "--model", str(model_path), "--out", str(out), "--seeds", "2",
+                       "--finetune-epochs", "1", *extra, *FAST_DATA, *FAST_PRUNE])
+            assert rc == 0
+            with open(out / f"{name}.csv", newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        assert cells("ablation", "ablation") == [
+            [pk.metrics.loss_combo_label(k), *mean_errors(replace(base, enabled_losses=k))]
+            for k in pk.metrics.ABLATION_COMBOS]
+        assert cells("rate-sweep", "rate_sweep", "--rates", "0.3,0.6") == [
+            [str(rate), mean_errors(replace(base, rate=rate))[1]] for rate in (0.3, 0.6)]
 
     def test_report_renders(self, model_path, tmp_path, capsys):
         out = tmp_path / "p"

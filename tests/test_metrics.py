@@ -5,11 +5,11 @@ import prunekit as pk
 from prunekit.data import DataError
 from prunekit.metrics import (ABLATION_COMBOS, CompressionStats, count_flops,
                               count_params, evaluate, format_table,
-                              loss_combo_label, run_ablation)
+                              loss_combo_label)
 from prunekit.network import (ChannelMask, Network, conv, dense_layer,
                               flatten_layer, forward, materialize, maxpool,
                               relu_layer)
-from prunekit.pruner import PruneConfig
+from prunekit.pruner import PruneConfig, run_ablation
 from prunekit.tensor import Tensor
 
 

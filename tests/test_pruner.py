@@ -225,16 +225,32 @@ class TestPruneModel:
             PruneConfig(rate=0.5, batch_size=batch_size)
 
 
+LOSS_SETS = ["r", "s", "c", "rs", "rc", "sc", "rsc"]
+
+
 class TestReportTrainErrors:
     """The report's train errors come from the frozen activations after the
-    sweep, and must equal full-depth ``evaluate`` passes."""
+    sweep, its final errors from the masked ones or the fine-tuning log, and
+    all must equal full-depth ``evaluate`` passes."""
 
-    @pytest.mark.parametrize("losses", ["r", "s", "c", "rs", "rc", "sc", "rsc"])
+    @pytest.mark.parametrize("losses", LOSS_SETS)
     def test_equal_full_evaluate(self, trained_tiny, tiny_dataset, losses):
         final, report = prune_model(
             trained_tiny, small_cfg(enabled_losses=frozenset(losses)), tiny_dataset)
         assert report.baseline_train_error == pk.evaluate(trained_tiny, tiny_dataset, "train")
-        assert report.masked_train_error == pk.evaluate(final, tiny_dataset, "train")
+        assert report.baseline_test_error == pk.evaluate(trained_tiny, tiny_dataset, "test")
+        for split in ("train", "test"):
+            final_err = getattr(report, f"final_{split}_error")
+            assert final_err == getattr(report, f"masked_{split}_error")
+            assert final_err == pk.evaluate(final, tiny_dataset, split)
+
+    @pytest.mark.parametrize("losses", LOSS_SETS)
+    def test_fine_tuned_final_equals_evaluate(self, trained_tiny, tiny_dataset, losses):
+        final, report = prune_model(
+            trained_tiny, small_cfg(enabled_losses=frozenset(losses), finetune_epochs=1),
+            tiny_dataset)
+        for split in ("train", "test"):
+            assert getattr(report, f"final_{split}_error") == pk.evaluate(final, tiny_dataset, split)
 
     def test_nan_dense_weight_raises(self, trained_tiny, tiny_dataset):
         # under r the sweep never runs the dense head, so the cached train-error
@@ -244,16 +260,40 @@ class TestReportTrainErrors:
         with pytest.raises(DivergenceError, match="non-finite logits"):
             prune_model(net, small_cfg(enabled_losses=frozenset("r")), tiny_dataset)
 
-    @pytest.mark.parametrize("losses,calls", [("r", 4), ("s", 4), ("rsc", 4), ("c", 5)])
-    def test_evaluate_calls(self, trained_tiny, tiny_dataset, monkeypatch, losses, calls):
-        # masked test, baseline test, final train and test; the baseline train
-        # error needs its own pass only when no baseline map is kept
+    @staticmethod
+    def _count_evaluates(monkeypatch) -> list:
         seen = []
         monkeypatch.setattr(pruner, "evaluate",
                             lambda net, ds, split, **kw: seen.append(split)
                             or pk.evaluate(net, ds, split, **kw))
+        return seen
+
+    @pytest.mark.parametrize("losses,calls", [("r", 2), ("s", 2), ("rsc", 2), ("c", 3)])
+    def test_evaluate_calls(self, trained_tiny, tiny_dataset, monkeypatch, losses, calls):
+        # masked test and baseline test; the baseline train error needs its own
+        # pass only when no baseline map is kept, and without fine-tuning the
+        # final errors are the masked ones
+        seen = self._count_evaluates(monkeypatch)
         prune_model(trained_tiny, small_cfg(enabled_losses=frozenset(losses)), tiny_dataset)
         assert len(seen) == calls
+
+    def test_ablation_evaluates_baseline_once(self, trained_tiny, tiny_dataset, monkeypatch):
+        # one masked test pass per row plus one baseline test pass; the first
+        # row (r) keeps a baseline map, so the baseline train error needs none
+        seen = self._count_evaluates(monkeypatch)
+        rows = pruner.run_ablation(trained_tiny, tiny_dataset, small_cfg())
+        assert len(rows) == 7
+        assert len(seen) == 8
+
+    def test_runs_share_baseline_errors(self, trained_tiny, tiny_dataset):
+        # c first: the baseline train error comes from evaluate, and the later
+        # runs reuse both baseline errors
+        cfgs = [small_cfg(enabled_losses=frozenset(k)) for k in ("c", "r", "sc")]
+        reports = [report for _, report in pruner.prune_runs(trained_tiny, cfgs, tiny_dataset)]
+        for cfg, report in zip(cfgs, reports):
+            assert report.baseline_train_error == pk.evaluate(trained_tiny, tiny_dataset, "train")
+            assert report.baseline_test_error == pk.evaluate(trained_tiny, tiny_dataset, "test")
+            assert report.to_json() == prune_model(trained_tiny, cfg, tiny_dataset)[1].to_json()
 
 
 class TestFineTune:
@@ -267,7 +307,7 @@ class TestFineTune:
     def test_loss_decreases_on_separable_toy(self, tiny_dataset, rng):
         from tests.conftest import tiny_specs
         net = Network.initialize(tiny_specs(), tiny_dataset.image_shape, 3, rng)
-        log = fine_tune(net, tiny_dataset, epochs=5, eta_schedule=0.02, seed=0)
+        log = fine_tune(net, tiny_dataset, epochs=5, eta=0.02, seed=0)
         assert log[-1]["loss"] < log[0]["loss"]
 
     def test_nan_loss_raises_instead_of_finishing(self, trained_tiny, tiny_dataset):
@@ -302,13 +342,12 @@ class TestFineTune:
         assert not tiny_net.meta["trained"]
 
     def test_eta_schedule_variants(self, trained_tiny, tiny_dataset):
+        # the rate is one float for every epoch; its default is 0.01
         net = trained_tiny.copy()
-        log = fine_tune(net, tiny_dataset, epochs=2,
-                        eta_schedule=[0.01, 0.001], seed=0)
-        assert [e["eta"] for e in log] == [0.01, 0.001]
-        log = fine_tune(net, tiny_dataset, epochs=2,
-                        eta_schedule=lambda ep: 0.1 / (1 + ep), seed=0)
-        assert log[1]["eta"] == pytest.approx(0.05)
+        log = fine_tune(net, tiny_dataset, epochs=2, eta=0.001, seed=0)
+        assert [e["eta"] for e in log] == [0.001, 0.001]
+        log = fine_tune(net, tiny_dataset, epochs=1, seed=0)
+        assert log[0]["eta"] == 0.01
 
 
 def _masked_at_zero(net):
