@@ -75,16 +75,6 @@ def _add_prune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _parse_losses(text: str) -> frozenset:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("--losses must enable at least one of r,s,c")
-    bad = set(parts) - {"r", "s", "c"}
-    if bad:
-        raise ValueError(f"--losses: unknown loss flags {sorted(bad)}")
-    return frozenset(parts)
-
-
 def _prune_config(args) -> PruneConfig:
     return PruneConfig(
         rate=args.rate,
@@ -93,7 +83,7 @@ def _prune_config(args) -> PruneConfig:
         selection_batches=args.selection_batches,
         refit_epochs=args.refit_epochs,
         finetune_epochs=args.finetune_epochs,
-        enabled_losses=_parse_losses(args.losses),
+        enabled_losses=frozenset(p.strip() for p in args.losses.split(",") if p.strip()),
         seed=args.seed,
         batch_size=args.batch_size,
     )
@@ -209,20 +199,26 @@ def cmd_check_grad(args) -> int:
 def cmd_report(args) -> int:
     with open(args.report) as fh:
         doc = json.load(fh)
-    errors = doc["errors"]
-    comp = doc["compression"]
-    print("configuration:", doc["config"])
-    rows = [{"stage": stage, "train_error": errors[stage]["train"],
-             "test_error": errors[stage]["test"]}
-            for stage in ("baseline", "masked", "final")]
-    print(metrics.format_table(rows, ["stage", "train_error", "test_error"]))
-    print(f"params: {comp['params_before']} -> {comp['params_after']} "
-          f"({comp['param_ratio']:.2f}x)")
-    print(f"flops:  {comp['flops_before']} -> {comp['flops_after']} "
-          f"({comp['flops_ratio']:.2f}x)")
-    for layer, entry in sorted(doc["layers"].items(), key=lambda kv: int(kv[0])):
-        print(f"layer {layer}: kept {len(entry['retained'])}/{len(entry['sensitivities'])} "
-              f"channels {entry['retained']}")
+    try:
+        errors = doc["errors"]
+        comp = doc["compression"]
+        rows = [{"stage": stage, "train_error": errors[stage]["train"],
+                 "test_error": errors[stage]["test"]}
+                for stage in ("baseline", "masked", "final")]
+        lines = [
+            f"configuration: {doc['config']}",
+            metrics.format_table(rows, ["stage", "train_error", "test_error"]),
+            f"params: {comp['params_before']} -> {comp['params_after']} "
+            f"({comp['param_ratio']:.2f}x)",
+            f"flops:  {comp['flops_before']} -> {comp['flops_after']} "
+            f"({comp['flops_ratio']:.2f}x)",
+        ] + [f"layer {layer}: kept {len(entry['retained'])}/{len(entry['sensitivities'])} "
+             f"channels {entry['retained']}"
+             for layer, entry in sorted(doc["layers"].items(), key=lambda kv: int(kv[0]))]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{args.report} is not a prunekit report: "
+                        f"{type(exc).__name__} {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -287,6 +283,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         # a config file supplies defaults; explicit flags win
+        argv = [part for a in argv
+                for part in (a.split("=", 1) if a.startswith("--config=") else [a])]
         if "--config" in argv:
             at = argv.index("--config")
             if at + 1 == len(argv):

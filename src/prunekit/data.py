@@ -98,13 +98,13 @@ def _normalization(train_images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int = 0,
-                  test_per_class: Optional[int] = None, channels: int = 3) -> Dataset:
-    """Class-conditional structured images: each class gets its own grating
+                  test_per_class: Optional[int] = None) -> Dataset:
+    """Class-conditional structured 3-channel images: each class gets its own grating
     frequency/orientation, blob position, and channel emphasis, plus noise.
     Deterministic for a fixed seed; label histograms are exactly uniform."""
     if classes < 2:
         raise DataError(f"need at least 2 classes, got {classes}")
-    if per_class < 1 or image_size < 4 or channels < 1:
+    if per_class < 1 or image_size < 4:
         raise DataError("degenerate dataset size")
     if test_per_class is None:
         test_per_class = max(1, per_class // 5)
@@ -114,7 +114,7 @@ def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int 
                          indexing="ij")
 
     def make(count_per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        images = np.zeros((classes * count_per_class, channels, image_size, image_size))
+        images = np.zeros((classes * count_per_class, 3, image_size, image_size))
         labels = np.zeros(classes * count_per_class, dtype=np.int64)
         i = 0
         for k in range(classes):
@@ -123,7 +123,7 @@ def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int 
             u = xx * np.cos(theta) + yy * np.sin(theta)
             cx = 0.5 + 0.28 * np.cos(2 * np.pi * k / classes)
             cy = 0.5 + 0.28 * np.sin(2 * np.pi * k / classes)
-            ch_w = 0.65 + 0.35 * (np.arange(channels) == (k % channels))
+            ch_w = 0.65 + 0.35 * (np.arange(3) == (k % 3))
             for _ in range(count_per_class):
                 phase = rng.uniform(0, 2 * np.pi)
                 jx, jy = rng.normal(0, 0.09, size=2)
@@ -168,7 +168,11 @@ def _cifar_split(raw: np.ndarray, cap: Optional[int]) -> tuple[np.ndarray, np.nd
 
 def load_cifar10(data_dir: str, train_cap: Optional[int] = None,
                  test_cap: Optional[int] = None) -> Dataset:
-    """Read the standard CIFAR-10 binary batches (data_batch_1..5.bin, test_batch.bin)."""
+    """Read the standard CIFAR-10 binary batches (data_batch_1..5.bin, test_batch.bin),
+    keeping the first ``train_cap``/``test_cap`` records of a split when given."""
+    for name, cap in (("train_cap", train_cap), ("test_cap", test_cap)):
+        if cap is not None and cap < 1:
+            raise DataError(f"{name} must be >= 1, got {cap}")
     names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
     paths = [os.path.join(data_dir, name) for name in names]
     for path in paths:

@@ -6,7 +6,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor as T
+from .losses import LossWeights, correlation_loss, joint_loss, reconstruction_loss
 from .tensor import Tape, Tensor, backward
+
+STEP = 1e-4  # central-difference step
+ATOL = 1e-6  # absolute error allowed where both gradients are below ATOL / rtol
 
 
 def suite_cases() -> dict:
@@ -15,10 +20,6 @@ def suite_cases() -> dict:
     Each value is ``builder(rng) -> (build_loss, params)`` suitable for
     ``check_gradients``. Used by the test suite and the ``check-grad`` CLI.
     """
-    from . import tensor as T
-    from .losses import (LossWeights, correlation_loss, joint_loss,
-                         reconstruction_loss)
-
     def _scalarize(x, tape):
         # squared sum keeps the reduction's own gradient nontrivial
         return T.sum_all(T.mul(x, x, tape), tape)
@@ -118,23 +119,23 @@ def run_suite(n_seeds: int = 20, rtol: float = 1e-3) -> list[tuple[str, float, b
     return results
 
 
-def numerical_grad(fn: Callable[[], float], param: Tensor, step: float = 1e-4) -> np.ndarray:
-    """Central differences of a scalar-valued closure w.r.t. every entry of ``param``."""
+def numerical_grad(fn: Callable[[], float], param: Tensor) -> np.ndarray:
+    """Central differences (step ``STEP``) of a scalar closure w.r.t. each entry of ``param``."""
     flat = param.data.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         hi = fn()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         lo = fn()
         flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
+        grad[i] = (hi - lo) / (2.0 * STEP)
     return grad.reshape(param.shape)
 
 
 def check_gradients(build_loss: Callable[[Tape], Tensor], params: Sequence[Tensor],
-                    step: float = 1e-4, rtol: float = 1e-3, atol: float = 1e-6) -> float:
+                    rtol: float = 1e-3) -> float:
     """Compare analytic and numeric gradients of a loss builder.
 
     ``build_loss(tape)`` must construct the scalar loss from ``params`` on the
@@ -151,8 +152,8 @@ def check_gradients(build_loss: Callable[[Tape], Tensor], params: Sequence[Tenso
     worst = 0.0
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = numerical_grad(lambda: build_loss(None).item(), p, step=step)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), atol / rtol)
+        numeric = numerical_grad(lambda: build_loss(None).item(), p)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), ATOL / rtol)
         rel = np.abs(analytic - numeric) / denom
         worst = max(worst, float(rel.max()) if rel.size else 0.0)
         if not np.all(np.abs(analytic - numeric) <= rtol * denom):

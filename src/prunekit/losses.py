@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .metrics import DivergenceError
 from .tensor import ShapeError, Tape, Tensor
 
 LOSS_KEYS = ("r", "s", "c")
@@ -118,7 +119,8 @@ def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tenso
     """Weighted fusion over the enabled terms; disabled terms contribute zero.
 
     Returns the differentiable total and the per-term breakdown. A term passed
-    as None (callers skip computing disabled ones) is reported as 0.0.
+    as None (callers skip computing disabled ones) is reported as 0.0. A
+    non-finite term raises ``DivergenceError``.
     """
     enabled = frozenset(enabled)
     if not enabled:
@@ -128,7 +130,7 @@ def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tenso
         raise ValueError(f"joint_loss: unknown loss flags {sorted(unknown)}")
     for name, term in (("l_r", l_r), ("l_s", l_s), ("l_c", l_c)):
         if term is not None and not np.isfinite(term.data).all():
-            raise ValueError(f"joint_loss: {name} is not finite")
+            raise DivergenceError(f"joint_loss: {name} is not finite")
 
     total = None
     for key, term, coef in (("r", l_r, 1.0), ("s", l_s, w.alpha), ("c", l_c, w.beta)):

@@ -1,8 +1,8 @@
 """Parameter/FLOPs accounting, top-1 evaluation, the ablation's loss
 combinations and the plain-text table of the CLI's results.
 
-The pruning errors live here, below ``pruner``, because ``error_rate`` raises
-``DivergenceError`` too."""
+The pruning errors live here, below ``pruner`` and ``losses``, because
+``error_rate`` and ``joint_loss`` raise ``DivergenceError`` too."""
 
 from __future__ import annotations
 
@@ -82,13 +82,10 @@ def error_rate(logits: np.ndarray, labels: np.ndarray, split: str) -> float:
     return int((logits.argmax(axis=1) != labels).sum()) / len(labels)
 
 
-def evaluate(net: Network, dataset: Dataset, split: str = "test",
-             batch_size: int = 256) -> float:
-    """Top-1 error fraction of the network on one labeled split."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+def evaluate(net: Network, dataset: Dataset, split: str = "test") -> float:
+    """Top-1 error fraction of the network on one labeled split, 256 rows at a time."""
     images, labels = dataset.normalized(split)
-    return error_rate(forward_chunks(net, images, batch_size), labels, split)
+    return error_rate(forward_chunks(net, images, 256), labels, split)
 
 
 def loss_combo_label(combo: frozenset) -> str:

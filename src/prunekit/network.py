@@ -192,16 +192,15 @@ class Network:
 
 
 def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
-            upto_layer: Optional[int] = None, capture: Sequence[int] = (),
-            start: int = 0):
+            upto_layer: Optional[int] = None, start: int = 0) -> Tensor:
     """Run layers ``start..upto_layer`` of the chain on a batch.
 
     ``x`` is what enters layer ``start``: a [B,C,H,W] image batch for the
     default 0, otherwise the batched output of layer ``start - 1``. Returns the
-    logits, or the (masked) post-conv feature map of ``upto_layer`` when given.
-    With a non-empty ``capture`` the return value is a ``(result, {layer:
-    feature})`` pair; captured features are taken right after the convolution
-    (and mask), before the nonlinearity.
+    logits, or the output of layer ``upto_layer`` when given; for a conv layer
+    that is the (masked) feature map right after the convolution. A caller
+    that needs a conv layer's map and the logits runs ``upto_layer=l``, then
+    ``start=l + 1`` from that map.
     """
     if start and not 0 < start < len(net.specs):
         raise ShapeError(f"forward: start layer {start} out of range")
@@ -214,8 +213,7 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
         raise ShapeError(f"forward: layer index {upto_layer} out of range")
 
     h = x
-    feats: dict[int, Tensor] = {}
-    for idx in range(start, len(net.specs)):
+    for idx in range(start, len(net.specs) if upto_layer is None else upto_layer + 1):
         spec = net.specs[idx]
         if spec.kind == "conv":
             p = net.params[idx]
@@ -223,8 +221,6 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
             mask = net.masks.get(idx)
             if mask is not None and not mask.all():
                 h = T.mul(h, Tensor(mask.astype(np.float64).reshape(1, -1, 1, 1)), tape)
-            if idx in capture or idx == upto_layer:
-                feats[idx] = h
         elif spec.kind == "relu":
             h = T.relu(h, tape)
         elif spec.kind == "maxpool":
@@ -234,9 +230,7 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
         elif spec.kind == "dense":
             p = net.params[idx]
             h = T.dense(h, p["w"], p["b"], tape)
-        if idx == upto_layer:
-            return (h, feats) if capture else h
-    return (h, feats) if capture else h
+    return h
 
 
 def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
@@ -270,14 +264,13 @@ def apply_mask(net: Network, mask: ChannelMask) -> Network:
 
 def materialize(net: Network, masks: Sequence[ChannelMask]) -> Network:
     """Physically remove masked channels: shrink layer l's output side and the
-    matching input slices of the next conv (or dense columns fed through a
-    flatten)."""
+    matching input slices of the next conv, or the rows of the next dense
+    layer, which a flatten groups per channel of layer l."""
     by_layer = {m.layer: m for m in masks}
     convs = net.conv_layers()
     if sorted(by_layer) != convs:
         raise ShapeError(
             f"need exactly one mask per conv layer {convs}, got {sorted(by_layer)}")
-    shapes = net.layer_shapes()
 
     specs = list(net.specs)
     params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
@@ -300,18 +293,10 @@ def materialize(net: Network, masks: Sequence[ChannelMask]) -> Network:
                 specs[nxt] = replace(spec, in_channels=len(kidx))
                 break
             if spec.kind == "dense":
-                # flatten groups columns per channel, hw entries each
-                c, hf, wf = shapes[l][0], None, None
-                for back in range(nxt - 1, l, -1):
-                    if specs[back].kind == "flatten":
-                        _, hf, wf = (shapes[back - 1] if back else net.input_shape)
-                        break
-                if hf is None:
-                    raise ShapeError(f"dense layer {nxt} consumes conv output without flatten")
                 w = params[nxt]["w"].data
-                w = w.reshape(c, hf * wf, -1)[kidx].reshape(len(kidx) * hf * wf, -1)
+                w = w.reshape(len(keep), -1, w.shape[1])[kidx].reshape(-1, w.shape[1])
                 params[nxt]["w"] = Tensor(w, requires_grad=True)
-                specs[nxt] = replace(spec, in_features=len(kidx) * hf * wf)
+                specs[nxt] = replace(spec, in_features=w.shape[0])
                 break
 
     return Network(specs, net.input_shape, net.num_classes, params=params,

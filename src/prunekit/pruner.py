@@ -17,18 +17,21 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .data import Dataset, epoch_indices, sample_indices
-from .losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
-                     reconstruction_loss)
+from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
+                     joint_loss, reconstruction_loss)
 from .metrics import (ABLATION_COMBOS, CompressionStats, DivergenceError,
                       PruneError, error_rate, evaluate, loss_combo_label)
 from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
                       materialize)
 from .tensor import Tape, Tensor, backward, softmax_cross_entropy
+
+MOMENTUM = 0.9  # of fine-tuning and baseline training
+DIVERGENCE_FACTOR = 10.0  # of refit and fine-tuning; see _check_divergence
 
 
 class UntrainedBaselineError(PruneError):
@@ -46,11 +49,14 @@ class PruneConfig:
     enabled_losses: frozenset = frozenset("rsc")
     seed: int = 0
     batch_size: int = 32
-    finetune_eta: float = 0.01
-    momentum: float = 0.9
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
+        object.__setattr__(self, "enabled_losses", frozenset(self.enabled_losses))
+        if not self.enabled_losses:
+            raise ValueError(f"enabled_losses must hold at least one of {', '.join(LOSS_KEYS)}")
+        unknown = self.enabled_losses - set(LOSS_KEYS)
+        if unknown:
+            raise ValueError(f"enabled_losses: unknown loss keys {sorted(unknown)}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"pruning rate must be in (0,1), got {self.rate}")
         if self.eta < 0:
@@ -65,7 +71,6 @@ class PruneConfig:
 
 @dataclass
 class ChannelSelection:
-    layer: int
     sensitivities: np.ndarray
     retained: list[int]
     budget: int
@@ -144,15 +149,14 @@ def channel_sensitivity(w: Tensor, grad_w: np.ndarray) -> np.ndarray:
     return (prod * prod).reshape(w.shape[0], -1).sum(axis=1)
 
 
-def select_channels(delta: np.ndarray, k: int, layer: int = 0) -> ChannelSelection:
+def select_channels(delta: np.ndarray, k: int) -> ChannelSelection:
     """Deterministic top-K by sensitivity; ties keep the lower index."""
     if k < 1:
         raise ValueError(f"select_channels: K must be >= 1, got {k}")
     delta = np.asarray(delta, dtype=np.float64)
     order = np.argsort(-delta, kind="stable")
     retained = sorted(int(i) for i in order[:min(k, len(delta))])
-    return ChannelSelection(layer=layer, sensitivities=delta, retained=retained,
-                            budget=k)
+    return ChannelSelection(sensitivities=delta, retained=retained, budget=k)
 
 
 @dataclass
@@ -201,16 +205,14 @@ def _layer_joint_loss(net_pruned: Network, layer: int, cfg: PruneConfig,
                       acts: FrozenActivations, idx: np.ndarray,
                       tape: Optional[Tape]) -> tuple[Tensor, LossBreakdown]:
     """Joint loss at one layer on the examples ``idx``, building only the
-    enabled terms: the pruned net runs from ``layer`` on, and past it only for
-    c; the baseline map is read from ``acts``."""
+    enabled terms: the pruned net runs layer ``layer``, and the layers past it
+    only for c; the baseline map is read from ``acts``."""
     on = cfg.enabled_losses
     f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
-    xb = Tensor(acts.x_in[idx])
+    f_pruned = forward(net_pruned, Tensor(acts.x_in[idx]), tape=tape, upto_layer=layer,
+                       start=layer)
     if "c" in on:
-        logits, feats = forward(net_pruned, xb, tape=tape, capture=(layer,), start=layer)
-        f_pruned = feats[layer]
-    else:
-        f_pruned = forward(net_pruned, xb, tape=tape, upto_layer=layer, start=layer)
+        logits = forward(net_pruned, f_pruned, tape=tape, start=layer + 1)
     l_r = reconstruction_loss(f_base, f_pruned, tape) if "r" in on else None
     l_s = correlation_loss(f_base, f_pruned, tape) if "s" in on else None
     l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
@@ -269,7 +271,6 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     b = net_pruned.params[layer]["b"]
 
     history: list[LossBreakdown] = []
-    initial_total: Optional[float] = None
     with _only_layer_trainable(net_pruned, layer):
         for _ in range(cfg.refit_epochs):
             sums = np.zeros(4)
@@ -287,13 +288,16 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 batches += 1
             epoch_bd = LossBreakdown(*map(float, sums / batches))
             history.append(epoch_bd)
-            if initial_total is None:
-                initial_total = epoch_bd.total
-            elif epoch_bd.total > cfg.divergence_factor * max(initial_total, 1e-12):
-                raise DivergenceError(
-                    f"refit of layer {layer} diverged: total {epoch_bd.total:.4g} "
-                    f"exceeds {cfg.divergence_factor}x initial {initial_total:.4g}")
+            _check_divergence(f"refit of layer {layer}", epoch_bd.total, history[0].total)
     return history
+
+
+def _check_divergence(what: str, loss: float, first: float) -> None:
+    """Raise ``DivergenceError`` when an epoch's mean loss is not finite or
+    exceeds ``DIVERGENCE_FACTOR`` times the first epoch's."""
+    if not math.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(first, 1e-12):
+        raise DivergenceError(f"{what} diverged: loss {loss:.4g}, first epoch {first:.4g}, "
+                              f"limit {DIVERGENCE_FACTOR}x")
 
 
 def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
@@ -324,12 +328,12 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
         for layer, nxt in zip(convs, convs[1:] + [None]):
             delta = score_layer(pruned, layer, cfg, acts, rng)
             channels = net_base.specs[layer].out_channels
-            sel = select_channels(delta, budget_for(channels, cfg.rate), layer=layer)
+            sel = select_channels(delta, budget_for(channels, cfg.rate))
             keep = np.zeros(channels, dtype=bool)
             keep[sel.retained] = True
             pruned = apply_mask(pruned, ChannelMask(layer, keep))
             selections[layer] = sel
-            curves[layer] = refit_layer(pruned, layer, cfg, acts, rng) if cfg.refit_epochs else []
+            curves[layer] = refit_layer(pruned, layer, cfg, acts, rng)
             if nxt is not None:
                 acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
 
@@ -346,15 +350,12 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
         del acts
         masked_test = evaluate(pruned, dataset, "test")
 
-        final = materialize(pruned, [ChannelMask(l, np.isin(np.arange(net_base.specs[l].out_channels),
-                                                            selections[l].retained))
-                                     for l in convs])
+        final = materialize(pruned, [ChannelMask(l, keep) for l, keep in pruned.masks.items()])
         finetune_log: list[dict] = []
         final_train, final_test = masked_train, masked_test
         if cfg.finetune_epochs:
-            finetune_log = fine_tune(final, dataset, cfg.finetune_epochs, eta=cfg.finetune_eta,
-                                     batch_size=cfg.batch_size, momentum=cfg.momentum,
-                                     seed=cfg.seed, divergence_factor=cfg.divergence_factor)
+            finetune_log = fine_tune(final, dataset, cfg.finetune_epochs,
+                                     batch_size=cfg.batch_size, seed=cfg.seed)
             final_train, final_test = (finetune_log[-1]["train_error"],
                                        finetune_log[-1]["test_error"])
         final.meta["trained"] = True
@@ -387,29 +388,26 @@ def prune_model(net_base: Network, cfg: PruneConfig,
     return run
 
 
-def run_ablation(net_base: Network, dataset: Dataset, cfg: PruneConfig,
-                 combos: Sequence[frozenset] = ABLATION_COMBOS) -> list[dict]:
-    """Prune the same baseline once per loss combination (same seed, no
-    fine-tuning) and report masked-model train/test error per row."""
-    runs = prune_runs(net_base, [replace(cfg, enabled_losses=frozenset(combo), finetune_epochs=0)
-                                 for combo in combos], dataset)
+def run_ablation(net_base: Network, dataset: Dataset, cfg: PruneConfig) -> list[dict]:
+    """Prune the same baseline once per loss combination of ``ABLATION_COMBOS``
+    (same seed, no fine-tuning) and report masked-model train/test error per row."""
+    runs = prune_runs(net_base, [replace(cfg, enabled_losses=combo, finetune_epochs=0)
+                                 for combo in ABLATION_COMBOS], dataset)
     return [{"losses": loss_combo_label(combo), "train_error": report.masked_train_error,
              "test_error": report.masked_test_error}
-            for combo, (_, report) in zip(combos, runs)]
+            for combo, (_, report) in zip(ABLATION_COMBOS, runs)]
 
 
-def fine_tune(net: Network, dataset: Dataset, epochs: int,
-              eta: float = 0.01, batch_size: int = 32,
-              momentum: float = 0.9, seed: int = 0,
-              divergence_factor: float = 10.0) -> list[dict]:
-    """SGD-with-momentum training of every parameter on the cross-entropy loss.
+def fine_tune(net: Network, dataset: Dataset, epochs: int, eta: float = 0.01,
+              batch_size: int = 32, seed: int = 0) -> list[dict]:
+    """SGD with momentum ``MOMENTUM`` and one rate ``eta`` on every parameter
+    under the cross-entropy loss; diverging epochs raise (``_check_divergence``).
     Returns a per-epoch log of mean loss and train/test error."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     velocity = {(idx, name): np.zeros_like(t.data) for idx, name, t in net.parameters()}
     log: list[dict] = []
-    initial_loss: Optional[float] = None
     for epoch in range(epochs):
         total, batches = 0.0, 0
         for xb, yb in dataset.iter_batches("train", batch_size, rng=rng):
@@ -422,21 +420,15 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
             for idx, name, t in net.parameters():
                 v = velocity[(idx, name)]
                 g = t.grad if t.grad is not None else 0.0
-                v *= momentum
+                v *= MOMENTUM
                 v -= eta * g
                 t.data += v
                 t.zero_grad()
             total += loss.item()
             batches += 1
         mean_loss = total / batches
-        if not math.isfinite(mean_loss):
-            raise DivergenceError(f"fine-tuning diverged at epoch {epoch}: loss {mean_loss}")
-        if initial_loss is None:
-            initial_loss = mean_loss
-        elif mean_loss > divergence_factor * max(initial_loss, 1e-12):
-            raise DivergenceError(
-                f"fine-tuning diverged at epoch {epoch}: loss {mean_loss:.4g} "
-                f"exceeds {divergence_factor}x initial {initial_loss:.4g}")
+        _check_divergence(f"fine-tuning at epoch {epoch}", mean_loss,
+                          log[0]["loss"] if log else mean_loss)
         log.append({
             "epoch": epoch,
             "eta": eta,
@@ -448,12 +440,10 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int,
 
 
 def train_baseline(net: Network, dataset: Dataset, epochs: int, eta: float = 0.01,
-                   batch_size: int = 32, momentum: float = 0.9,
-                   seed: int = 0) -> list[dict]:
+                   batch_size: int = 32, seed: int = 0) -> list[dict]:
     """Train a fresh network as the pruning baseline and flag it as trained."""
     if epochs < 1:
         raise ValueError(f"a baseline needs at least one training epoch, got {epochs}")
-    log = fine_tune(net, dataset, epochs, eta=eta, batch_size=batch_size,
-                    momentum=momentum, seed=seed)
+    log = fine_tune(net, dataset, epochs, eta=eta, batch_size=batch_size, seed=seed)
     net.meta["trained"] = True
     return log

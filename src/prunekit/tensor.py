@@ -108,9 +108,6 @@ class Tape:
             output.requires_grad = True
         self.nodes.append(_Node(output, inputs, backward_fn))
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``.grad`` on every requires_grad leaf reachable from ``loss``.

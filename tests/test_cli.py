@@ -166,6 +166,19 @@ class TestTables:
         assert "baseline" in text and "params:" in text
 
 
+    @pytest.mark.parametrize("doc", [{"config": {}, "errors": {}, "layers": {}}, [1, 2]])
+    def test_report_of_foreign_json_single_line_error(self, tmp_path, capsys, doc):
+        # a JSON without "compression", or a list, once printed a traceback
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["report", "--report", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "not a prunekit report" in err and "\n" not in err
+        assert captured.out == ""
+
+
 class TestCheckGrad:
     def test_exit_zero_when_gradients_pass(self, capsys):
         rc = main(["check-grad", "--seeds", "2"])
@@ -196,6 +209,16 @@ class TestConfigFile:
         out = tmp_path / "out"
         rc = main(["--config", str(cfg), "prune", "--model", str(model_path),
                    "--out", str(out), "--rate=0.7", *FAST_DATA, *FAST_PRUNE])
+        assert rc == 0
+        assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
+
+    def test_config_equals_spelling_is_read(self, model_path, tmp_path):
+        # "--config=PATH" was once ignored silently and the default rate used
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("rate = 0.7\n")
+        out = tmp_path / "out"
+        rc = main([f"--config={cfg}", "prune", "--model", str(model_path),
+                   "--out", str(out), *FAST_DATA, *FAST_PRUNE])
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
 

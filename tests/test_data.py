@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import prunekit as pk
+from prunekit.cli import main
 from prunekit.data import (CIFAR_BATCH_RECORDS, CIFAR_RECORD, DataError,
                            load_cifar10, synth_dataset)
 
@@ -98,6 +99,22 @@ class TestCifar10:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="label byte"):
             load_cifar10(tmp_path)
+
+    @pytest.mark.parametrize("caps", [{"train_cap": -5}, {"test_cap": -5}])
+    def test_negative_cap_rejected(self, tmp_path, rng, caps):
+        # raw[:-5] once dropped the last five records silently
+        _write_cifar_dir(tmp_path, rng)
+        with pytest.raises(DataError, match=f"{next(iter(caps))} must be >= 1"):
+            load_cifar10(tmp_path, **caps)
+
+    @pytest.mark.parametrize("flag", ["--train-cap", "--test-cap"])
+    def test_negative_cap_flag_single_line_error(self, tmp_path, rng, capsys, flag):
+        _write_cifar_dir(tmp_path, rng)
+        rc = main(["eval", "--model", str(tmp_path / "unused.prnk"), "--data", "cifar",
+                   "--data-dir", str(tmp_path), flag, "-5"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "cap must be >= 1" in err and "\n" not in err
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="missing"):

@@ -3,6 +3,7 @@ import pytest
 
 from prunekit.losses import (LossWeights, correlation_loss, joint_loss,
                              reconstruction_loss)
+from prunekit.metrics import DivergenceError
 from prunekit.tensor import ShapeError, Tape, Tensor, backward
 
 
@@ -152,6 +153,10 @@ class TestJointLoss:
     def test_all_disabled_rejected(self):
         with pytest.raises(ValueError, match="no loss terms"):
             joint_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), LossWeights(), frozenset())
+
+    def test_non_finite_term_is_divergence(self):
+        with pytest.raises(DivergenceError, match="l_r is not finite"):
+            joint_loss(Tensor(np.inf), None, None, LossWeights(), frozenset("r"))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -140,9 +140,8 @@ class TestAblation:
     def test_rows_reproduce_bit_exactly(self, trained_tiny, tiny_dataset):
         cfg = PruneConfig(rate=0.3, selection_batches=1, refit_epochs=1,
                           batch_size=16, seed=0)
-        combos = (frozenset("r"), frozenset("rsc"))
-        first = run_ablation(trained_tiny, tiny_dataset, cfg, combos=combos)
-        second = run_ablation(trained_tiny, tiny_dataset, cfg, combos=combos)
+        first = run_ablation(trained_tiny, tiny_dataset, cfg)
+        second = run_ablation(trained_tiny, tiny_dataset, cfg)
         assert first == second
 
     def test_combo_labels(self):
