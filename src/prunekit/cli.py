@@ -298,6 +298,9 @@ def main(argv=None) -> int:
                     extra += [flag, value]
             argv = argv[:at] + argv[at + 2:] + extra
         args = parser.parse_args(argv)
+        for key in ("seed", "data_seed"):
+            if vars(args).get(key, 0) < 0:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {vars(args)[key]}")
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,6 +62,10 @@ def suite_cases() -> dict:
         labels = rng.integers(0, 4, size=5)
         return (lambda tape: T.softmax_cross_entropy(logits, labels, tape)), [logits]
 
+    def scatter_case(rng):
+        x = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        return (lambda tape: _scalarize(T.scatter_channels(x, [3, 0], 4, tape), tape)), [x]
+
     def reconstruction_case(rng):
         fb = Tensor(rng.standard_normal((2, 3, 4, 4)))
         fp = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
@@ -96,6 +100,7 @@ def suite_cases() -> dict:
         "dense": dense_case,
         "flatten": flatten_case,
         "softmax_cross_entropy": softmax_case,
+        "scatter_channels": scatter_case,
         "reconstruction_loss": reconstruction_case,
         "correlation_loss": correlation_case,
         "joint_loss": joint_case,

@@ -2,9 +2,9 @@
 
 A network is an ordered chain of layers (conv / relu / maxpool / flatten /
 dense) with a parameter store keyed by layer index. Channel masks zero whole
-output planes of a conv layer without touching its weights; ``materialize``
-later removes the weights for real, shrinking the next layer's input slices to
-match. The on-disk format is documented in docs/format.md.
+output planes of a conv layer without touching its weights; ``shrink_layer``
+removes one layer's channels for real with the next layer's input slice, and
+``materialize`` every layer's. The on-disk format is documented in docs/format.md.
 """
 
 from __future__ import annotations
@@ -262,45 +262,42 @@ def apply_mask(net: Network, mask: ChannelMask) -> Network:
     return out
 
 
+def shrink_layer(net: Network, mask: ChannelMask) -> Network:
+    """Remove the channels ``mask`` drops from conv layer ``mask.layer``: its
+    output rows and mask entry's, and the next conv's input slice or the next
+    dense layer's rows (a flatten groups them per channel). Shares the rest."""
+    l = mask.layer
+    if net.specs[l].kind != "conv" or mask.keep.shape != (net.specs[l].out_channels,):
+        raise ShapeError(f"{mask.keep.size}-channel mask does not fit layer {l} ({net.specs[l]})")
+    kidx = np.flatnonzero(mask.keep)
+    specs, params = list(net.specs), dict(net.params)
+    params[l] = {k: Tensor(t.data[kidx], requires_grad=True) for k, t in params[l].items()}
+    specs[l] = replace(specs[l], out_channels=len(kidx))
+    nxt = next((i for i in range(l + 1, len(specs)) if i in params), None)  # conv or dense
+    if nxt is not None:
+        w = params[nxt]["w"].data
+        if specs[nxt].kind == "conv":
+            w, specs[nxt] = w[:, kidx], replace(specs[nxt], in_channels=len(kidx))
+        else:
+            w = w.reshape(len(mask.keep), -1, w.shape[1])[kidx].reshape(-1, w.shape[1])
+            specs[nxt] = replace(specs[nxt], in_features=w.shape[0])
+        params[nxt] = {**params[nxt], "w": Tensor(w, requires_grad=True)}
+    return Network(specs, net.input_shape, net.num_classes, params=params, meta=dict(net.meta),
+                   masks={k: v[kidx] if k == l else v for k, v in net.masks.items()})
+
+
 def materialize(net: Network, masks: Sequence[ChannelMask]) -> Network:
-    """Physically remove masked channels: shrink layer l's output side and the
-    matching input slices of the next conv, or the rows of the next dense
-    layer, which a flatten groups per channel of layer l."""
+    """``shrink_layer`` applied to every conv layer, on a copy without masks."""
     by_layer = {m.layer: m for m in masks}
     convs = net.conv_layers()
     if sorted(by_layer) != convs:
         raise ShapeError(
             f"need exactly one mask per conv layer {convs}, got {sorted(by_layer)}")
-
-    specs = list(net.specs)
-    params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                    for k, t in entry.items()}
-              for idx, entry in net.params.items()}
-
+    out = net.copy()
+    out.masks = {}
     for l in convs:
-        keep = by_layer[l].keep
-        if keep.shape != (specs[l].out_channels,):
-            raise ShapeError(f"mask length mismatch on layer {l}")
-        kidx = np.flatnonzero(keep)
-        params[l]["w"] = Tensor(params[l]["w"].data[kidx], requires_grad=True)
-        params[l]["b"] = Tensor(params[l]["b"].data[kidx], requires_grad=True)
-        specs[l] = replace(specs[l], out_channels=len(kidx))
-
-        for nxt in range(l + 1, len(specs)):
-            spec = specs[nxt]
-            if spec.kind == "conv":
-                params[nxt]["w"] = Tensor(params[nxt]["w"].data[:, kidx], requires_grad=True)
-                specs[nxt] = replace(spec, in_channels=len(kidx))
-                break
-            if spec.kind == "dense":
-                w = params[nxt]["w"].data
-                w = w.reshape(len(keep), -1, w.shape[1])[kidx].reshape(-1, w.shape[1])
-                params[nxt]["w"] = Tensor(w, requires_grad=True)
-                specs[nxt] = replace(spec, in_features=w.shape[0])
-                break
-
-    return Network(specs, net.input_shape, net.num_classes, params=params,
-                   masks={}, meta=dict(net.meta))
+        out = shrink_layer(out, by_layer[l])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The sweep walks conv layers first to last. For each layer it accumulates
 gradients of the joint loss over a handful of batches, scores every output
 channel by the squared gradient-times-weight mass of its kernel slice, keeps
-the top-K, masks the rest, and refits the surviving slice with plain SGD while
-the baseline stays frozen. Afterwards the masked channels are physically
-removed and the whole network is optionally fine-tuned. ``prune_runs`` does
+the top-K, removes the rest from the network, and refits the surviving slice
+with plain SGD while the baseline stays frozen; later layers run on the shrunk
+network. The whole network is then optionally fine-tuned. ``prune_runs`` does
 this for a list of configs on one baseline, whose errors it computes once.
 """
 
@@ -27,8 +27,8 @@ from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
 from .metrics import (ABLATION_COMBOS, CompressionStats, DivergenceError,
                       PruneError, error_rate, evaluate, loss_combo_label)
 from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
-                      materialize)
-from .tensor import Tape, Tensor, backward, softmax_cross_entropy
+                      shrink_layer)
+from .tensor import Tape, Tensor, backward, scatter_channels, softmax_cross_entropy
 
 MOMENTUM = 0.9  # of fine-tuning and baseline training
 DIVERGENCE_FACTOR = 10.0  # of refit and fine-tuning; see _check_divergence
@@ -162,20 +162,21 @@ def select_channels(delta: np.ndarray, k: int) -> ChannelSelection:
 @dataclass
 class FrozenActivations:
     """What scoring and refitting one conv layer read but never change, over
-    the whole train split: the pruned net's input to the layer and, when r or s
-    is enabled, the baseline's map at the layer.
+    the whole train split: the pruned net's input to the layer, the baseline's
+    map there when r or s is enabled and, once the layer is shrunk, the
+    baseline channels it keeps (``retained``).
 
-    Refitting layer l changes only layer l's weights, so both arrays are
-    computed once per layer, without a tape, and moved on to the next conv
-    layer by ``advance_activations``. They hold about N_train times the
-    largest per-image map, in float64. After the sweep, ``prune_model`` reads
-    the report's masked train error from the last layer's ``x_in`` and, when
-    ``f_base`` is kept, the baseline train error from ``f_base``: only the
-    layers from the last conv layer on run again.
+    Refitting layer l changes only its weights, so the arrays are computed
+    once per layer, without a tape, and moved on by ``advance_activations``.
+    ``f_base`` holds about N_train times the largest per-image map in float64,
+    ``x_in`` only the retained channels of the shrunk net: about (1 - rate)
+    times that past the first conv layer. The sweep's train errors run only the
+    layers from the last conv layer on, from its ``x_in`` and a kept ``f_base``.
     """
     x_in: np.ndarray
     f_base: Optional[np.ndarray]
     labels: np.ndarray
+    retained: Optional[list[int]] = None
 
 
 def frozen_activations(net_base: Network, net_pruned: Network, layer: int,
@@ -192,7 +193,7 @@ def advance_activations(acts: FrozenActivations, net_base: Network,
                         net_pruned: Network, layer: int, nxt: int,
                         cfg: PruneConfig) -> FrozenActivations:
     """Move the frozen activations of conv layer ``layer`` on to conv layer
-    ``nxt``, once layer ``layer`` is masked and refit: the pruned input runs
+    ``nxt``, once layer ``layer`` is selected and refit: the pruned input runs
     through layers ``layer..nxt-1``, the baseline map through ``layer+1..nxt``."""
     f_base = (forward_chunks(net_base, acts.f_base, cfg.batch_size, layer + 1, nxt)
               if acts.f_base is not None else None)
@@ -206,15 +207,17 @@ def _layer_joint_loss(net_pruned: Network, layer: int, cfg: PruneConfig,
                       tape: Optional[Tape]) -> tuple[Tensor, LossBreakdown]:
     """Joint loss at one layer on the examples ``idx``, building only the
     enabled terms: the pruned net runs layer ``layer``, and the layers past it
-    only for c; the baseline map is read from ``acts``."""
+    only for c; r and s compare it, at ``acts.retained`` once shrunk, with ``acts.f_base``."""
     on = cfg.enabled_losses
     f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
     f_pruned = forward(net_pruned, Tensor(acts.x_in[idx]), tape=tape, upto_layer=layer,
                        start=layer)
     if "c" in on:
         logits = forward(net_pruned, f_pruned, tape=tape, start=layer + 1)
-    l_r = reconstruction_loss(f_base, f_pruned, tape) if "r" in on else None
-    l_s = correlation_loss(f_base, f_pruned, tape) if "s" in on else None
+    f_cmp = (f_pruned if f_base is None or acts.retained is None
+             else scatter_channels(f_pruned, acts.retained, f_base.shape[1], tape))
+    l_r = reconstruction_loss(f_base, f_cmp, tape) if "r" in on else None
+    l_s = correlation_loss(f_base, f_cmp, tape) if "s" in on else None
     l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
     return joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
 
@@ -302,14 +305,14 @@ def _check_divergence(what: str, loss: float, first: float) -> None:
 
 def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                dataset: Dataset) -> Iterator[tuple[Network, PruneReport]]:
-    """Prune ``net_base`` once per config, in order: per-layer
-    score/select/mask/refit, then materialize and optionally fine-tune.
-
-    The baseline's errors are computed once per call: the test error with one
-    ``evaluate``, the train error from the first run's baseline map when that
-    run keeps one, else with one ``evaluate``. Without fine-tuning the final
-    errors are the masked ones, since removing the masked channels leaves the
-    outputs unchanged; after it they are the last epoch's logged errors."""
+    """Prune ``net_base`` once per config, in order: per conv layer score,
+    select, ``shrink_layer`` and refit, so later layers run on the shrunk net;
+    then optionally fine-tune. The swept net is returned without masks, so the
+    final errors are the masked ones by construction, or after fine-tuning the
+    last epoch's logged ones. ``net_base`` is not changed. The baseline's
+    errors are computed once per call: the test error with one ``evaluate``,
+    the train error from the first run's baseline map when that run keeps one,
+    else with one ``evaluate``."""
     if not net_base.meta.get("trained"):
         raise UntrainedBaselineError("baseline model metadata says it is untrained")
     convs = net_base.conv_layers()
@@ -329,10 +332,10 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
             delta = score_layer(pruned, layer, cfg, acts, rng)
             channels = net_base.specs[layer].out_channels
             sel = select_channels(delta, budget_for(channels, cfg.rate))
-            keep = np.zeros(channels, dtype=bool)
-            keep[sel.retained] = True
-            pruned = apply_mask(pruned, ChannelMask(layer, keep))
+            mask = ChannelMask(layer, np.isin(np.arange(channels), sel.retained))
+            pruned = shrink_layer(apply_mask(pruned, mask), mask)  # all-true mask entry
             selections[layer] = sel
+            acts = replace(acts, retained=sel.retained)
             curves[layer] = refit_layer(pruned, layer, cfg, acts, rng)
             if nxt is not None:
                 acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
@@ -350,17 +353,17 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
         del acts
         masked_test = evaluate(pruned, dataset, "test")
 
-        final = materialize(pruned, [ChannelMask(l, keep) for l, keep in pruned.masks.items()])
+        pruned.masks = {}  # every entry is all-true
         finetune_log: list[dict] = []
         final_train, final_test = masked_train, masked_test
         if cfg.finetune_epochs:
-            finetune_log = fine_tune(final, dataset, cfg.finetune_epochs,
+            finetune_log = fine_tune(pruned, dataset, cfg.finetune_epochs,
                                      batch_size=cfg.batch_size, seed=cfg.seed)
             final_train, final_test = (finetune_log[-1]["train_error"],
                                        finetune_log[-1]["test_error"])
-        final.meta["trained"] = True
+        pruned.meta["trained"] = True
 
-        yield final, PruneReport(
+        yield pruned, PruneReport(
             config={
                 "rate": cfg.rate, "alpha": cfg.weights.alpha, "beta": cfg.weights.beta,
                 "eta": cfg.eta, "selection_batches": cfg.selection_batches,
@@ -376,7 +379,7 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
             final_test_error=final_test,
             selections=selections,
             loss_curves=curves,
-            stats=CompressionStats.compare(net_base, final),
+            stats=CompressionStats.compare(net_base, pruned),
             finetune_log=finetune_log,
         )
 

@@ -158,7 +158,6 @@ def add(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     return out
 
 
-
 def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Elementwise product; shapes must match or ``b`` must broadcast to ``a``."""
     try:
@@ -203,6 +202,18 @@ def reshape(a: Tensor, shape: Sequence[int], tape: Optional[Tape] = None) -> Ten
         tape.record(out, (a,), lambda g: (g.reshape(a.shape),))
     return out
 
+
+def scatter_channels(x: Tensor, positions: Sequence[int], channels: int,
+                     tape: Optional[Tape] = None) -> Tensor:
+    """Input channel i to channel ``positions[i]`` of a zero [B,channels,...] map."""
+    pos = np.asarray(positions, dtype=np.intp)
+    if x.data.ndim < 2 or pos.shape != (x.shape[1],):
+        raise ShapeError(f"scatter_channels: {pos.size} positions for input {x.shape}")
+    out = Tensor(np.zeros((x.shape[0], channels) + x.shape[2:]))
+    out.data[:, pos] = x.data
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (g[:, pos] if x.requires_grad else None,))
+    return out
 
 
 # ---------------------------------------------------------------------------

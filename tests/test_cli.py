@@ -47,6 +47,23 @@ class TestTrainEval:
         assert err.startswith("error:") and "\n" not in err
 
 
+class TestSeedFlags:
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--seed"), ("train", "--data-seed"), ("prune", "--seed"),
+        ("prune", "--data-seed"), ("eval", "--data-seed"), ("ablation", "--seed"),
+        ("rate-sweep", "--seed"), ("rate-sweep", "--data-seed")])
+    def test_negative_seed_names_the_flag(self, model_path, tmp_path, capsys, command, flag):
+        # a negative seed once failed inside numpy with "expected non-negative
+        # integer", naming no flag
+        written = tmp_path / "written"
+        argv = {"train": ["--model", str(written)], "eval": ["--model", str(model_path)]}.get(
+            command, ["--model", str(model_path), "--out", str(written)])
+        rc = main([command, *argv, *FAST_DATA, flag, "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 0, got -1"
+        assert not written.exists()
+
+
 class TestPrune:
     def test_reference_default_configuration(self, model_path, tmp_path):
         rc = main(["prune", "--model", str(model_path), "--out", str(tmp_path),

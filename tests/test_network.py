@@ -10,7 +10,7 @@ import prunekit as pk
 from prunekit.network import (ChannelMask, FormatError, LayerSpec, Network,
                               apply_mask, conv, dense_layer, flatten_layer,
                               forward, load, materialize, maxpool,
-                              reference_specs, relu_layer, save)
+                              reference_specs, relu_layer, save, shrink_layer)
 from prunekit.tensor import ShapeError, Tensor
 
 
@@ -146,6 +146,43 @@ class TestMaterialize:
     def test_missing_mask_rejected(self, trained_tiny):
         with pytest.raises(ShapeError, match="one mask per conv layer"):
             materialize(trained_tiny, [ChannelMask(0, np.ones(4, dtype=bool))])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_layer_by_layer_shrink(self, trained_tiny, seed):
+        masks = random_masks(trained_tiny, np.random.default_rng(seed))
+        before = [t.data.tobytes() for _, _, t in trained_tiny.parameters()]
+        out = materialize(trained_tiny, masks)
+        step = trained_tiny
+        for m in masks:
+            step = shrink_layer(step, m)
+        assert out.specs == step.specs and out.masks == step.masks == {}
+        assert ([(i, n, t.data.tobytes()) for i, n, t in out.parameters()]
+                == [(i, n, t.data.tobytes()) for i, n, t in step.parameters()])
+        assert [t.data.tobytes() for _, _, t in trained_tiny.parameters()] == before
+
+
+class TestShrinkLayer:
+    def test_mask_entry_keeps_its_retained_part(self, trained_tiny):
+        mask = ChannelMask(2, np.array([True, False, True, True, False, True]))
+        other = ChannelMask(0, np.array([True, False, True, True]))
+        out = shrink_layer(apply_mask(apply_mask(trained_tiny, other), mask), mask)
+        np.testing.assert_array_equal(out.masks[2], np.ones(4, dtype=bool))
+        np.testing.assert_array_equal(out.masks[0], other.keep)
+        assert out.params[0] is trained_tiny.params[0]
+
+    def test_equals_masked_forward(self, trained_tiny, tiny_dataset, rng):
+        mask = ChannelMask(0, np.array([False, True, True, False]))
+        out = shrink_layer(trained_tiny, mask)
+        assert out.specs[0].out_channels == out.specs[2].in_channels == 2
+        xb, _ = tiny_dataset.sample_batch("test", 8, rng)
+        np.testing.assert_allclose(forward(out, xb).data,
+                                   forward(apply_mask(trained_tiny, mask), xb).data,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layer,keep", [(0, [True, False]), (1, [True, False, True, True])])
+    def test_mask_must_fit_a_conv_layer(self, trained_tiny, layer, keep):
+        with pytest.raises(ShapeError, match="mask does not fit layer"):
+            shrink_layer(trained_tiny, ChannelMask(layer, np.array(keep)))
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ from prunekit import pruner
 from prunekit.data import Dataset
 from prunekit.losses import correlation_loss, joint_loss, reconstruction_loss
 from prunekit.network import (ChannelMask, Network, apply_mask, conv,
-                              dense_layer, flatten_layer, forward, save)
+                              dense_layer, flatten_layer, forward, materialize, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
                              frozen_activations, prune_model, refit_layer,
@@ -314,6 +314,69 @@ class TestReportTrainErrors:
             assert report.baseline_train_error == pk.evaluate(trained_tiny, tiny_dataset, "train")
             assert report.baseline_test_error == pk.evaluate(trained_tiny, tiny_dataset, "test")
             assert report.to_json() == prune_model(trained_tiny, cfg, tiny_dataset)[1].to_json()
+
+
+def _masked_sweep(net_base, cfg, dataset):
+    """The sweep with every layer kept at full width: each selection is an
+    ``apply_mask`` mask, and one ``materialize`` at the end removes the masked
+    channels. Returns the network and what the report would hold."""
+    rng = np.random.default_rng(cfg.seed)
+    convs = net_base.conv_layers()
+    pruned, retained, curves = net_base.copy(), {}, {}
+    acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
+    for layer, nxt in zip(convs, convs[1:] + [None]):
+        delta = score_layer(pruned, layer, cfg, acts, rng)
+        channels = net_base.specs[layer].out_channels
+        retained[layer] = select_channels(delta, budget_for(channels, cfg.rate)).retained
+        keep = np.isin(np.arange(channels), retained[layer])
+        pruned = apply_mask(pruned, ChannelMask(layer, keep))
+        curves[layer] = refit_layer(pruned, layer, cfg, acts, rng)
+        if nxt is not None:
+            acts = pruner.advance_activations(acts, net_base, pruned, layer, nxt, cfg)
+    masked = [pk.evaluate(pruned, dataset, split) for split in ("train", "test")]
+    final = materialize(pruned, [ChannelMask(l, keep) for l, keep in pruned.masks.items()])
+    finals = masked
+    if cfg.finetune_epochs:
+        log = fine_tune(final, dataset, cfg.finetune_epochs, batch_size=cfg.batch_size,
+                        seed=cfg.seed)
+        finals = [log[-1]["train_error"], log[-1]["test_error"]]
+    return final, retained, curves, masked, finals
+
+
+# the shrunk sweep sums over fewer channels, so its floats may differ from the
+# masked sweep's in the last bits
+SWEEP_RTOL, SWEEP_ATOL = 1e-9, 1e-12
+
+
+class TestShrunkSweep:
+    @pytest.mark.parametrize("finetune_epochs", [0, 1])
+    @pytest.mark.parametrize("losses", LOSS_SETS)
+    def test_equals_masked_sweep(self, trained_tiny, tiny_dataset, losses, finetune_epochs):
+        cfg = small_cfg(enabled_losses=frozenset(losses), refit_epochs=2,
+                        finetune_epochs=finetune_epochs)
+        final, report = prune_model(trained_tiny, cfg, tiny_dataset)
+        ref, retained, curves, masked, finals = _masked_sweep(trained_tiny, cfg, tiny_dataset)
+        assert {l: sel.retained for l, sel in report.selections.items()} == retained
+        assert [report.masked_train_error, report.masked_test_error] == masked
+        assert [report.final_train_error, report.final_test_error] == finals
+        assert report.loss_curves.keys() == curves.keys()
+        for l, curve in curves.items():
+            np.testing.assert_allclose(
+                [[bd.l_r, bd.l_s, bd.l_c, bd.total] for bd in report.loss_curves[l]],
+                [[bd.l_r, bd.l_s, bd.l_c, bd.total] for bd in curve],
+                rtol=SWEEP_RTOL, atol=SWEEP_ATOL)
+        assert final.specs == ref.specs and final.masks == {}
+        for (i, name, got), (_, _, want) in zip(final.parameters(), ref.parameters()):
+            np.testing.assert_allclose(got.data, want.data, rtol=SWEEP_RTOL,
+                                       atol=SWEEP_ATOL, err_msg=f"layer {i} {name}")
+
+    def test_baseline_parameters_unchanged(self, trained_tiny, tiny_dataset):
+        before = [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()]
+        cfgs = [small_cfg(finetune_epochs=1), small_cfg(enabled_losses=frozenset("c"))]
+        for final, _ in pruner.prune_runs(trained_tiny, cfgs, tiny_dataset):
+            assert all(t is not b for (_, _, t), (_, _, b)
+                       in zip(final.parameters(), trained_tiny.parameters()))
+        assert [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()] == before
 
 
 class TestFineTune:

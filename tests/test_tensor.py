@@ -6,7 +6,7 @@ import pytest
 from prunekit.losses import correlation_loss, grams, reconstruction_loss
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
                              conv2d, dense, flatten, max_pool2d, mul, relu,
-                             softmax_cross_entropy, sum_all)
+                             scatter_channels, softmax_cross_entropy, sum_all)
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -293,6 +293,8 @@ NEED_DRIVEN_CASES = {
                             lambda t, tape: reconstruction_loss(t[0], t[1], tape)),
     "correlation_loss": ([(2, 3, 3, 3), (2, 3, 3, 3)],
                          lambda t, tape: correlation_loss(t[0], t[1], tape)),
+    "scatter_channels": ([(2, 2, 3, 3)],
+                         lambda t, tape: scatter_channels(t[0], [3, 0], 4, tape)),
 }
 
 
@@ -349,3 +351,24 @@ class TestNeedDrivenGradients:
         loss = sum_all(conv2d(h, w, pad=1, tape=tape), tape)
         backward(loss, tape)
         assert calls == [] and x.grad is None and w.grad is not None
+
+
+class TestScatterChannels:
+    def test_places_channels_and_zeros_the_rest(self, rng):
+        x = rng.standard_normal((2, 2, 3, 3))
+        out = scatter_channels(Tensor(x), [3, 0], 4).data
+        assert out.shape == (2, 4, 3, 3)
+        np.testing.assert_array_equal(out[:, [3, 0]], x)
+        assert not out[:, [1, 2]].any()
+
+    def test_backward_gathers(self, rng):
+        x = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        g = rng.standard_normal((2, 4, 3, 3))
+        tape = Tape()
+        out = scatter_channels(x, [3, 0], 4, tape)
+        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        np.testing.assert_array_equal(x.grad, g[:, [3, 0]])
+
+    def test_position_count_must_match_channels(self):
+        with pytest.raises(ShapeError, match="scatter_channels"):
+            scatter_channels(Tensor(np.ones((2, 3, 2, 2))), [0, 1], 4)
