@@ -9,7 +9,7 @@ from .network import (ChannelMask, FormatError, LayerSpec, Network, apply_mask,
 from .pruner import (ChannelSelection, DivergenceError, PruneConfig, PruneReport,
                      UntrainedBaselineError, budget_for, channel_sensitivity,
                      fine_tune, frozen_activations, prune_model, refit_layer,
-                     run_ablation, select_channels, train_baseline)
+                     select_channels, train_baseline)
 from .tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "count_flops", "count_params", "evaluate", "fine_tune", "forward",
     "frozen_activations", "joint_loss", "load", "load_cifar10", "materialize",
     "prune_model", "reconstruction_loss", "reference_specs", "refit_layer",
-    "run_ablation", "save", "select_channels", "synth_dataset",
-    "train_baseline",
+    "save", "select_channels", "synth_dataset", "train_baseline",
 ]

@@ -282,26 +282,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # a config file supplies defaults; explicit flags win
+        # a config file supplies defaults: its flags go right after the
+        # subcommand, so any explicit flag, however abbreviated, comes later and wins
         argv = [part for a in argv
                 for part in (a.split("=", 1) if a.startswith("--config=") else [a])]
         if "--config" in argv:
             at = argv.index("--config")
             if at + 1 == len(argv):
                 raise DataError("--config needs a file path")
-            overrides = read_config(argv[at + 1])
-            extra = []
-            for key, value in overrides.items():
-                flag = "--" + key.replace("_", "-")
-                # an explicit flag is spelled "--flag value" or "--flag=value"
-                if not any(a == flag or a.startswith(flag + "=") for a in argv):
-                    extra += [flag, value]
-            argv = argv[:at] + argv[at + 2:] + extra
+            extra = [part for key, value in read_config(argv[at + 1]).items()
+                     for part in ("--" + key.replace("_", "-"), value)]
+            argv = argv[:at] + argv[at + 2:]
+            argv = argv[:1] + extra + argv[1:]
         args = parser.parse_args(argv)
         for key in ("seed", "data_seed"):
             if vars(args).get(key, 0) < 0:
                 raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {vars(args)[key]}")
-        return args.fn(args)
+        # an overflow surfaces as one typed error from the finite checks of
+        # joint_loss, error_rate, _check_divergence and channel_sensitivity
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,8 +34,8 @@ class LossWeights:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"loss weights must be nonnegative, got {self}")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
+            raise ValueError(f"loss weights must be finite and nonnegative, got {self}")
 
 
 @dataclass

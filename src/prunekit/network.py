@@ -115,17 +115,13 @@ class Network:
         """He-initialized weights, zero biases."""
         net = cls(specs, input_shape, num_classes)
         for idx, spec in enumerate(net.specs):
-            if spec.kind == "conv":
-                fan_in = spec.in_channels * spec.kernel * spec.kernel
-                w = rng.standard_normal((spec.out_channels, spec.in_channels,
-                                         spec.kernel, spec.kernel)) * np.sqrt(2.0 / fan_in)
-                net.params[idx] = {"w": Tensor(w, requires_grad=True),
-                                   "b": Tensor(np.zeros(spec.out_channels), requires_grad=True)}
-            elif spec.kind == "dense":
-                w = rng.standard_normal((spec.in_features, spec.out_features)) \
-                    * np.sqrt(2.0 / spec.in_features)
-                net.params[idx] = {"w": Tensor(w, requires_grad=True),
-                                   "b": Tensor(np.zeros(spec.out_features), requires_grad=True)}
+            if spec.kind in ("conv", "dense"):
+                w_shape, b_shape = _param_shapes(spec)
+                fan_in = math.prod(w_shape) // b_shape[0]
+                net.params[idx] = {
+                    "w": Tensor(rng.standard_normal(w_shape) * np.sqrt(2.0 / fan_in),
+                                requires_grad=True),
+                    "b": Tensor(np.zeros(b_shape), requires_grad=True)}
         return net
 
     def _validate(self) -> None:
@@ -141,22 +137,13 @@ class Network:
                     raise ShapeError(
                         f"layer {idx} (conv): expects {spec.in_channels} input channels, "
                         f"upstream provides {shape}")
-                c, h, w = shape
-                span_h = h + 2 * spec.pad - spec.kernel
-                span_w = w + 2 * spec.pad - spec.kernel
-                if span_h < 0 or span_w < 0 or span_h % spec.stride or span_w % spec.stride:
-                    raise ShapeError(f"layer {idx} (conv): non-integral output size from {shape}")
-                shape = (spec.out_channels,
-                         span_h // spec.stride + 1, span_w // spec.stride + 1)
+                shape = (spec.out_channels, *T._window_out(
+                    f"layer {idx} (conv)", shape[1:], (spec.kernel,) * 2, spec.stride, spec.pad))
             elif spec.kind == "maxpool":
                 if len(shape) != 3:
                     raise ShapeError(f"layer {idx} (maxpool): needs [C,H,W] input, got {shape}")
-                c, h, w = shape
-                if (h < spec.kernel or w < spec.kernel
-                        or (h - spec.kernel) % spec.stride or (w - spec.kernel) % spec.stride):
-                    raise ShapeError(f"layer {idx} (maxpool): non-integral output size from {shape}")
-                shape = (c, (h - spec.kernel) // spec.stride + 1,
-                         (w - spec.kernel) // spec.stride + 1)
+                shape = (shape[0], *T._window_out(
+                    f"layer {idx} (maxpool)", shape[1:], (spec.kernel,) * 2, spec.stride))
             elif spec.kind == "flatten":
                 shape = (int(np.prod(shape)),)
             elif spec.kind == "dense":

@@ -24,8 +24,7 @@ import numpy as np
 from .data import Dataset, epoch_indices, sample_indices
 from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
                      joint_loss, reconstruction_loss)
-from .metrics import (ABLATION_COMBOS, CompressionStats, DivergenceError,
-                      PruneError, error_rate, evaluate, loss_combo_label)
+from .metrics import CompressionStats, DivergenceError, PruneError, error_rate, evaluate
 from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
                       shrink_layer)
 from .tensor import Tape, Tensor, backward, scatter_channels, softmax_cross_entropy
@@ -59,8 +58,8 @@ class PruneConfig:
             raise ValueError(f"enabled_losses: unknown loss keys {sorted(unknown)}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"pruning rate must be in (0,1), got {self.rate}")
-        if self.eta < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
         if self.selection_batches < 1:
             raise ValueError("selection_batches must be positive")
         if self.refit_epochs < 0 or self.finetune_epochs < 0:
@@ -170,8 +169,8 @@ class FrozenActivations:
     once per layer, without a tape, and moved on by ``advance_activations``.
     ``f_base`` holds about N_train times the largest per-image map in float64,
     ``x_in`` only the retained channels of the shrunk net: about (1 - rate)
-    times that past the first conv layer. The sweep's train errors run only the
-    layers from the last conv layer on, from its ``x_in`` and a kept ``f_base``.
+    times that past the first conv layer. Past the last conv layer both hold
+    train logits, the pruned net's and the baseline's.
     """
     x_in: np.ndarray
     f_base: Optional[np.ndarray]
@@ -190,15 +189,17 @@ def frozen_activations(net_base: Network, net_pruned: Network, layer: int,
 
 
 def advance_activations(acts: FrozenActivations, net_base: Network,
-                        net_pruned: Network, layer: int, nxt: int,
+                        net_pruned: Network, layer: int, nxt: Optional[int],
                         cfg: PruneConfig) -> FrozenActivations:
     """Move the frozen activations of conv layer ``layer`` on to conv layer
     ``nxt``, once layer ``layer`` is selected and refit: the pruned input runs
-    through layers ``layer..nxt-1``, the baseline map through ``layer+1..nxt``."""
+    through layers ``layer..nxt-1``, the baseline map through ``layer+1..nxt``.
+    With ``nxt`` None both run to the logits."""
     f_base = (forward_chunks(net_base, acts.f_base, cfg.batch_size, layer + 1, nxt)
               if acts.f_base is not None else None)
     return FrozenActivations(
-        forward_chunks(net_pruned, acts.x_in, cfg.batch_size, layer, nxt - 1),
+        forward_chunks(net_pruned, acts.x_in, cfg.batch_size, layer,
+                       None if nxt is None else nxt - 1),
         f_base, acts.labels)
 
 
@@ -263,15 +264,13 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
 
 def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
-    """Plain SGD on the retained slice of one conv layer; the baseline and every
-    other layer stay frozen. Each epoch shuffles as ``Dataset.iter_batches``
-    does. Returns the per-epoch loss curve."""
-    keep = net_pruned.masks.get(layer)
-    if keep is None:
+    """Plain SGD on one masked conv layer; the baseline and every other layer
+    stay frozen. The mask multiply in ``forward`` gives masked rows an exactly
+    zero gradient, so only the kept rows move. Each epoch shuffles as
+    ``Dataset.iter_batches`` does. Returns the per-epoch loss curve."""
+    if layer not in net_pruned.masks:
         raise PruneError(f"refit_layer: layer {layer} has no mask applied")
-    kidx = np.flatnonzero(keep)
-    w = net_pruned.params[layer]["w"]
-    b = net_pruned.params[layer]["b"]
+    params = net_pruned.params[layer].values()
 
     history: list[LossBreakdown] = []
     with _only_layer_trainable(net_pruned, layer):
@@ -282,10 +281,8 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 tape = Tape()
                 total, bd = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
                 backward(total, tape)
-                if w.grad is not None:
-                    w.data[kidx] -= cfg.eta * w.grad[kidx]
-                if b.grad is not None:
-                    b.data[kidx] -= cfg.eta * b.grad[kidx]
+                for t in params:
+                    t.data -= cfg.eta * t.grad
                 _zero_grads(net_pruned)
                 sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
                 batches += 1
@@ -306,19 +303,20 @@ def _check_divergence(what: str, loss: float, first: float) -> None:
 def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                dataset: Dataset) -> Iterator[tuple[Network, PruneReport]]:
     """Prune ``net_base`` once per config, in order: per conv layer score,
-    select, ``shrink_layer`` and refit, so later layers run on the shrunk net;
-    then optionally fine-tune. The swept net is returned without masks, so the
-    final errors are the masked ones by construction, or after fine-tuning the
-    last epoch's logged ones. ``net_base`` is not changed. The baseline's
-    errors are computed once per call: the test error with one ``evaluate``,
-    the train error from the first run's baseline map when that run keeps one,
-    else with one ``evaluate``."""
+    select, ``shrink_layer``, refit and advance the frozen activations, so
+    later layers run on the shrunk net; then optionally fine-tune. Past the
+    last conv layer the activations reach the train logits, which give the
+    masked train error. The swept net is returned without masks, so the final
+    errors are the masked ones by construction, or after fine-tuning the last
+    epoch's logged ones. ``net_base`` is not changed. The baseline's errors
+    are computed once per call: the test error with one ``evaluate``, the
+    train error from the first run's baseline logits when that run keeps a
+    baseline map, else with one ``evaluate``."""
     if not net_base.meta.get("trained"):
         raise UntrainedBaselineError("baseline model metadata says it is untrained")
     convs = net_base.conv_layers()
     if not convs:
         raise PruneError("network has no prunable conv layers")
-    last = convs[-1]
     baseline: Optional[tuple[float, float]] = None
 
     for cfg in cfgs:
@@ -337,20 +335,13 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
             selections[layer] = sel
             acts = replace(acts, retained=sel.retained)
             curves[layer] = refit_layer(pruned, layer, cfg, acts, rng)
-            if nxt is not None:
-                acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
+            acts = advance_activations(acts, net_base, pruned, layer, nxt, cfg)
 
-        # train errors from the last conv layer's frozen activations: only the
-        # layers from that conv layer on run again; the cache is freed after
-        masked_train = error_rate(forward_chunks(pruned, acts.x_in, cfg.batch_size, last),
-                                  acts.labels, "train")
+        masked_train = error_rate(acts.x_in, acts.labels, "train")
         if baseline is None:
-            baseline = (
-                error_rate(forward_chunks(net_base, acts.f_base, cfg.batch_size, last + 1),
-                           acts.labels, "train")
-                if acts.f_base is not None else evaluate(net_base, dataset, "train"),
-                evaluate(net_base, dataset, "test"))
-        del acts
+            baseline = (error_rate(acts.f_base, acts.labels, "train")
+                        if acts.f_base is not None else evaluate(net_base, dataset, "train"),
+                        evaluate(net_base, dataset, "test"))
         masked_test = evaluate(pruned, dataset, "test")
 
         pruned.masks = {}  # every entry is all-true
@@ -391,21 +382,13 @@ def prune_model(net_base: Network, cfg: PruneConfig,
     return run
 
 
-def run_ablation(net_base: Network, dataset: Dataset, cfg: PruneConfig) -> list[dict]:
-    """Prune the same baseline once per loss combination of ``ABLATION_COMBOS``
-    (same seed, no fine-tuning) and report masked-model train/test error per row."""
-    runs = prune_runs(net_base, [replace(cfg, enabled_losses=combo, finetune_epochs=0)
-                                 for combo in ABLATION_COMBOS], dataset)
-    return [{"losses": loss_combo_label(combo), "train_error": report.masked_train_error,
-             "test_error": report.masked_test_error}
-            for combo, (_, report) in zip(ABLATION_COMBOS, runs)]
-
-
 def fine_tune(net: Network, dataset: Dataset, epochs: int, eta: float = 0.01,
               batch_size: int = 32, seed: int = 0) -> list[dict]:
     """SGD with momentum ``MOMENTUM`` and one rate ``eta`` on every parameter
     under the cross-entropy loss; diverging epochs raise (``_check_divergence``).
     Returns a per-epoch log of mean loss and train/test error."""
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {eta}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)

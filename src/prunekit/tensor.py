@@ -220,6 +220,17 @@ def scatter_channels(x: Tensor, positions: Sequence[int], channels: int,
 # network layers
 
 
+def _window_out(what: str, size: Sequence[int], kernel: Sequence[int], stride: int,
+                pad: int = 0) -> tuple[int, ...]:
+    """Output height and width of ``kernel`` windows at ``stride`` over a ``size``
+    input padded by ``pad``; raises unless the windows tile it exactly."""
+    spans = [n + 2 * pad - k for n, k in zip(size, kernel)]
+    if min(spans) < 0 or any(s % stride for s in spans):
+        raise ShapeError(f"{what}: non-integral output size for input {size[0]}x{size[1]}, "
+                         f"window {kernel[0]}x{kernel[1]}, stride {stride}, pad {pad}")
+    return tuple(s // stride + 1 for s in spans)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
            bias: Optional[Tensor] = None, tape: Optional[Tape] = None) -> Tensor:
     """2-d cross-correlation of a [B,C,H,W] input with an [M,C,kh,kw] kernel."""
@@ -237,12 +248,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         raise ShapeError(f"conv2d: pad must be >= 0, got {pad}")
     if bias is not None and bias.shape != (m,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({m},)")
-    span_h, span_w = h + 2 * pad - kh, wd + 2 * pad - kw
-    if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
-        raise ShapeError(
-            f"conv2d: non-integral output size for input {h}x{wd}, "
-            f"kernel {kh}x{kw}, stride {stride}, pad {pad}")
-    ho, wo = span_h // stride + 1, span_w // stride + 1
+    ho, wo = _window_out("conv2d", (h, wd), (kh, kw), stride, pad)
 
     # im2col: row (c, i, j) of cols holds input channel c at kernel tap (i, j)
     # for every output position, columns ordered (b, oh, ow)
@@ -295,10 +301,7 @@ def max_pool2d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> T
     h, wd = x.shape[2:]
     if k < 1 or stride < 1:
         raise ShapeError(f"max_pool2d: kernel {k} and stride {stride} must be >= 1")
-    if (h - k) < 0 or (wd - k) < 0 or (h - k) % stride or (wd - k) % stride:
-        raise ShapeError(
-            f"max_pool2d: non-integral output size for input {h}x{wd}, window {k}, stride {stride}")
-    ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
+    ho, wo = _window_out("max_pool2d", (h, wd), (k, k), stride)
     # window position (i, j), row-major, of every output is one strided view of x
     spans = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
              for i in range(k) for j in range(k)]

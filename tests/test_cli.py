@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,16 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and named in err and "\n" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_eta_writes_no_model(self, tmp_path, capsys, value):
+        # a negative or non-finite rate once trained a full epoch before failing
+        path = tmp_path / "base.prnk"
+        rc = main(["train", "--model", str(path), "--epochs", "1", *FAST_DATA, "--eta", value])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and value in err and "\n" not in err
         assert not path.exists()
 
     def test_missing_model_single_line_error(self, tmp_path, capsys):
@@ -101,6 +112,32 @@ class TestPrune:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "batch_size" in err and "\n" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+        ("--eta", "nan"), ("--eta", "inf"), ("--eta", "-1")])
+    def test_bad_rate_or_weight_single_line_error(self, model_path, tmp_path, capsys,
+                                                  flag, value):
+        # nan and inf once ran until a gradient or loss check failed
+        out = tmp_path / "p"
+        rc = main(["prune", "--model", str(model_path), "--out", str(out),
+                   *FAST_DATA, *FAST_PRUNE, flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and value in err and "\n" not in err
+        assert not out.exists()
+
+    def test_overflow_gives_one_error_line_and_no_warning(self, model_path, tmp_path,
+                                                          capsys):
+        # numpy overflow warnings once preceded the error line
+        out = tmp_path / "p"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["prune", "--model", str(model_path), "--out", str(out),
+                       *FAST_DATA, *FAST_PRUNE, "--eta", "1000"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
 
     def test_unknown_flag_nonzero_exit(self, model_path):
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +263,16 @@ class TestConfigFile:
         out = tmp_path / "out"
         rc = main(["--config", str(cfg), "prune", "--model", str(model_path),
                    "--out", str(out), "--rate=0.7", *FAST_DATA, *FAST_PRUNE])
+        assert rc == 0
+        assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
+
+    def test_abbreviated_flag_beats_config(self, model_path, tmp_path):
+        # argparse reads --rat as --rate; the file's rate once won over it
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("rate = 0.3\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "prune", "--model", str(model_path),
+                   "--out", str(out), "--rat", "0.7", *FAST_DATA, *FAST_PRUNE])
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
 

@@ -9,7 +9,6 @@ from prunekit.metrics import (ABLATION_COMBOS, CompressionStats, count_flops,
 from prunekit.network import (ChannelMask, Network, conv, dense_layer,
                               flatten_layer, forward, materialize, maxpool,
                               relu_layer)
-from prunekit.pruner import PruneConfig, run_ablation
 from prunekit.tensor import Tensor
 
 
@@ -128,22 +127,6 @@ class TestEvaluate:
 
 
 class TestAblation:
-    def test_seven_rows_in_table_order(self, trained_tiny, tiny_dataset):
-        cfg = PruneConfig(rate=0.3, selection_batches=1, refit_epochs=1,
-                          batch_size=16, seed=0)
-        rows = run_ablation(trained_tiny, tiny_dataset, cfg)
-        assert [r["losses"] for r in rows] == \
-            ["r", "s", "c", "r+s", "r+c", "s+c", "r+s+c"]
-        for row in rows:
-            assert 0.0 <= row["test_error"] <= 1.0
-
-    def test_rows_reproduce_bit_exactly(self, trained_tiny, tiny_dataset):
-        cfg = PruneConfig(rate=0.3, selection_batches=1, refit_epochs=1,
-                          batch_size=16, seed=0)
-        first = run_ablation(trained_tiny, tiny_dataset, cfg)
-        second = run_ablation(trained_tiny, tiny_dataset, cfg)
-        assert first == second
-
     def test_combo_labels(self):
         assert [loss_combo_label(c) for c in ABLATION_COMBOS] == \
             ["r", "s", "c", "r+s", "r+c", "s+c", "r+s+c"]

@@ -391,3 +391,8 @@ def test_layer_spec_rejects_fields_its_kind_does_not_use():
         LayerSpec("relu", kernel=3)
     with pytest.raises(ShapeError, match="stride"):
         maxpool(kernel=2, stride=0)
+
+
+def test_pool_window_larger_than_its_input_names_the_layer():
+    with pytest.raises(ShapeError, match=r"layer 1 \(maxpool\): non-integral"):
+        Network([conv(1, 2), maxpool(kernel=5, stride=1)], (1, 4, 4), 3)

@@ -301,8 +301,8 @@ class TestReportTrainErrors:
         # one masked test pass per row plus one baseline test pass; the first
         # row (r) keeps a baseline map, so the baseline train error needs none
         seen = self._count_evaluates(monkeypatch)
-        rows = pruner.run_ablation(trained_tiny, tiny_dataset, small_cfg())
-        assert len(rows) == 7
+        cfgs = [small_cfg(enabled_losses=combo) for combo in pk.metrics.ABLATION_COMBOS]
+        assert len(list(pruner.prune_runs(trained_tiny, cfgs, tiny_dataset))) == 7
         assert len(seen) == 8
 
     def test_runs_share_baseline_errors(self, trained_tiny, tiny_dataset):
@@ -501,6 +501,21 @@ class TestLayerLocalGradients:
                     t.zero_grad()
         for name in ("w", "b"):
             assert np.array_equal(pruned.params[2][name].data, ref.params[2][name].data)
+
+    @pytest.mark.parametrize("losses", ["rsc", "r", "c"])
+    def test_refit_moves_only_kept_rows(self, trained_tiny, tiny_dataset, losses):
+        # the mask multiply in forward gives masked rows an exactly zero
+        # gradient, so a whole-layer update leaves them where they were
+        cfg = small_cfg(enabled_losses=frozenset(losses), refit_epochs=2)
+        keep = np.array([True, False, True, True, False, True])
+        pruned = apply_mask(_masked_at_zero(trained_tiny), ChannelMask(2, keep))
+        before = {n: t.data.copy() for n, t in pruned.params[2].items()}
+        acts = frozen_activations(trained_tiny, pruned, 2, cfg, tiny_dataset)
+        refit_layer(pruned, 2, cfg, acts, np.random.default_rng(4))
+        for name, old in before.items():
+            new = pruned.params[2][name].data
+            assert np.array_equal(new[~keep], old[~keep])
+            assert all(not np.array_equal(new[i], old[i]) for i in np.flatnonzero(keep))
 
     def test_flags_restored_after_return(self, trained_tiny, tiny_dataset):
         pruned = _masked_at_zero(trained_tiny)

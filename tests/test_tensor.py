@@ -186,6 +186,10 @@ class TestSimpleOps:
         backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
         np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-12)
 
+    def test_pool_window_larger_than_input(self):
+        with pytest.raises(ShapeError, match="max_pool2d: non-integral"):
+            max_pool2d(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
+
     def test_flatten_row_major(self):
         x = Tensor(np.arange(12.0).reshape(1, 3, 2, 2))
         np.testing.assert_array_equal(flatten(x).data, np.arange(12.0).reshape(1, 12))
