@@ -61,6 +61,17 @@ def _load_dataset(args) -> Dataset:
                          seed=args.data_seed)
 
 
+def _load_inputs(args) -> tuple[Dataset, Network]:
+    """The dataset and the ``--model`` network, which must take the dataset's
+    images and predict its classes."""
+    dataset, net = _load_dataset(args), load(args.model)
+    if (net.input_shape, net.num_classes) != (dataset.image_shape, dataset.num_classes):
+        raise DataError(f"model {args.model} takes {net.input_shape} images of "
+                        f"{net.num_classes} classes, the dataset has {dataset.image_shape} "
+                        f"images of {dataset.num_classes} classes")
+    return dataset, net
+
+
 def _add_prune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=0.3)
     p.add_argument("--alpha", type=float, default=0.001)
@@ -89,19 +100,14 @@ def _prune_config(args) -> PruneConfig:
     )
 
 
-def _check_seeds(args) -> None:
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-
-
 def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[str]) -> int:
     """Prune the baseline under each ``(label, config)`` row once per seed,
     without fine-tuning, since the table reports masked errors only. Each row
     gets the seed-order mean of its masked errors; ``<name>.csv`` holds them as
     ``repr`` floats, ``<name>.txt`` and stdout as an aligned table."""
-    dataset = _load_dataset(args)
-    net = load(args.model)
-    os.makedirs(args.out, exist_ok=True)
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    dataset, net = _load_inputs(args)
     seeds = range(args.seeds)
     reports = [report for _, report in prune_runs(
         net, [replace(cfg, seed=seed, finetune_epochs=0) for _, cfg in rows for seed in seeds],
@@ -112,6 +118,7 @@ def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[st
         summary.append({key: label,
                         "train_error": float(np.mean([r.masked_train_error for r in runs])),
                         "test_error": float(np.mean([r.masked_test_error for r in runs]))})
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, name + ".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([key, *columns])
@@ -145,11 +152,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    dataset = _load_dataset(args)
-    net = load(args.model)
+    dataset, net = _load_inputs(args)
     cfg = _prune_config(args)
-    os.makedirs(args.out, exist_ok=True)
     final, report = prune_model(net, cfg, dataset)
+    os.makedirs(args.out, exist_ok=True)
     save(final, os.path.join(args.out, "pruned.prnk"))
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -162,15 +168,13 @@ def cmd_prune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args)
-    net = load(args.model)
+    dataset, net = _load_inputs(args)
     err = metrics.evaluate(net, dataset, split=args.split)
     print(f"{args.split}_error={err:.4f}")
     return 0
 
 
 def cmd_ablation(args) -> int:
-    _check_seeds(args)
     base = _prune_config(args)
     return _masked_table(args, "ablation", "losses",
                          [(metrics.loss_combo_label(combo), replace(base, enabled_losses=combo))
@@ -179,7 +183,6 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_rate_sweep(args) -> int:
-    _check_seeds(args)
     base = _prune_config(args)
     return _masked_table(args, "rate_sweep", "rate",
                          [(rate, replace(base, rate=rate))
@@ -251,22 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "test"])
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ablation", help="7-row loss-combination sweep")
-    _add_data_args(p)
-    _add_prune_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=1)
-    p.set_defaults(fn=cmd_ablation)
-
-    p = sub.add_parser("rate-sweep", help="pruning-rate sweep")
-    _add_data_args(p)
-    _add_prune_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rates", default="0.3,0.5,0.7")
-    p.add_argument("--seeds", type=int, default=1)
-    p.set_defaults(fn=cmd_rate_sweep)
+    for name, what, fn in (("ablation", "7-row loss-combination sweep", cmd_ablation),
+                           ("rate-sweep", "pruning-rate sweep", cmd_rate_sweep)):
+        p = sub.add_parser(name, help=what)
+        _add_data_args(p)
+        _add_prune_args(p)
+        p.add_argument("--model", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seeds", type=int, default=1)
+        p.set_defaults(fn=fn)
+    p.add_argument("--rates", default="0.3,0.5,0.7")  # rate-sweep's own flag
 
     p = sub.add_parser("check-grad", help="finite-difference gradient suite")
     p.add_argument("--seeds", type=int, default=20)
@@ -302,7 +299,7 @@ def main(argv=None) -> int:
         # joint_loss, error_rate, _check_divergence and channel_sensitivity
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

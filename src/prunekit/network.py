@@ -96,18 +96,19 @@ class ChannelMask:
 
 
 class Network:
-    """Ordered layer chain with named parameters and optional channel masks."""
+    """Ordered layer chain with named parameters and optional channel masks. Its
+    per-layer output shapes are derived once, at construction, from ``specs``, a tuple."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_shape: tuple, num_classes: int,
                  params: Optional[dict] = None, masks: Optional[dict] = None,
                  meta: Optional[dict] = None):
-        self.specs = list(specs)
+        self.specs = tuple(specs)
         self.input_shape = tuple(input_shape)
         self.num_classes = int(num_classes)
         self.params = params if params is not None else {}
         self.masks = masks if masks is not None else {}
         self.meta = meta if meta is not None else {"trained": False}
-        self._validate()
+        self._shapes = self._shape_table()  # raises on incompatible adjacent layers
 
     @classmethod
     def initialize(cls, specs: Sequence[LayerSpec], input_shape: tuple, num_classes: int,
@@ -124,11 +125,11 @@ class Network:
                     "b": Tensor(np.zeros(b_shape), requires_grad=True)}
         return net
 
-    def _validate(self) -> None:
-        self.layer_shapes()  # raises on incompatible adjacent layers
-
     def layer_shapes(self) -> list[tuple]:
         """Output shape (without batch dim) after each layer."""
+        return list(self._shapes)
+
+    def _shape_table(self) -> list[tuple]:
         shape = self.input_shape
         shapes = []
         for idx, spec in enumerate(self.specs):
@@ -173,7 +174,7 @@ class Network:
         params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
                         for k, t in entry.items()}
                   for idx, entry in self.params.items()}
-        return Network(list(self.specs), self.input_shape, self.num_classes,
+        return Network(self.specs, self.input_shape, self.num_classes,
                        params=params, masks={k: v.copy() for k, v in self.masks.items()},
                        meta=dict(self.meta))
 
@@ -187,11 +188,11 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
     logits, or the output of layer ``upto_layer`` when given; for a conv layer
     that is the (masked) feature map right after the convolution. A caller
     that needs a conv layer's map and the logits runs ``upto_layer=l``, then
-    ``start=l + 1`` from that map.
+    ``start=l + 1`` from that map. ``x`` is checked against the shape table built at construction.
     """
     if start and not 0 < start < len(net.specs):
         raise ShapeError(f"forward: start layer {start} out of range")
-    expect = net.layer_shapes()[start - 1] if start else net.input_shape
+    expect = net._shapes[start - 1] if start else net.input_shape
     if x.data.ndim != len(expect) + 1 or x.shape[1:] != expect:
         raise ShapeError(
             f"forward: input shape {x.shape} does not match declared {expect} "
@@ -236,26 +237,27 @@ def apply_mask(net: Network, mask: ChannelMask) -> Network:
 
     Parameters are shared with ``net``; only the mask table is copied.
     """
-    if net.specs[mask.layer].kind != "conv":
-        raise ShapeError(f"layer {mask.layer} is not a conv layer")
-    m = net.specs[mask.layer].out_channels
-    if mask.keep.shape != (m,):
-        raise ShapeError(
-            f"mask length {mask.keep.shape[0]} != {m} channels of layer {mask.layer}")
-    out = Network(list(net.specs), net.input_shape, net.num_classes,
+    _check_mask_fits(net, mask)
+    out = Network(net.specs, net.input_shape, net.num_classes,
                   params=net.params, masks={k: v.copy() for k, v in net.masks.items()},
                   meta=dict(net.meta))
     out.masks[mask.layer] = mask.keep.copy()
     return out
 
 
+def _check_mask_fits(net: Network, mask: ChannelMask) -> None:
+    spec = net.specs[mask.layer] if 0 <= mask.layer < len(net.specs) else None
+    if spec is None or spec.kind != "conv" or mask.keep.shape != (spec.out_channels,):
+        raise ShapeError(f"mask does not fit layer {mask.layer} "
+                         f"({spec or 'no such layer'}): mask length {mask.keep.size}")
+
+
 def shrink_layer(net: Network, mask: ChannelMask) -> Network:
     """Remove the channels ``mask`` drops from conv layer ``mask.layer``: its
     output rows and mask entry's, and the next conv's input slice or the next
     dense layer's rows (a flatten groups them per channel). Shares the rest."""
+    _check_mask_fits(net, mask)
     l = mask.layer
-    if net.specs[l].kind != "conv" or mask.keep.shape != (net.specs[l].out_channels,):
-        raise ShapeError(f"{mask.keep.size}-channel mask does not fit layer {l} ({net.specs[l]})")
     kidx = np.flatnonzero(mask.keep)
     specs, params = list(net.specs), dict(net.params)
     params[l] = {k: Tensor(t.data[kidx], requires_grad=True) for k, t in params[l].items()}

@@ -223,11 +223,6 @@ def _layer_joint_loss(net_pruned: Network, layer: int, cfg: PruneConfig,
     return joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
 
 
-def _zero_grads(net: Network) -> None:
-    for _, _, t in net.parameters():
-        t.zero_grad()
-
-
 @contextmanager
 def _only_layer_trainable(net: Network, layer: int):
     """Set ``requires_grad`` on layer ``layer``'s parameters only, so backward
@@ -249,7 +244,6 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     turned into per-channel sensitivities. Batches are drawn as
     ``Dataset.sample_batch`` draws them."""
     w = net_pruned.params[layer]["w"]
-    _zero_grads(net_pruned)
     with _only_layer_trainable(net_pruned, layer):
         for _ in range(cfg.selection_batches):
             idx = sample_indices(len(acts.labels), cfg.batch_size, rng)
@@ -257,17 +251,19 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
             total, _ = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
             backward(total, tape)
     grad = (w.grad if w.grad is not None else np.zeros_like(w.data)) / cfg.selection_batches
-    delta = channel_sensitivity(w, grad)
-    _zero_grads(net_pruned)
-    return delta
+    for t in net_pruned.params[layer].values():
+        t.zero_grad()
+    return channel_sensitivity(w, grad)
 
 
 def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
-    """Plain SGD on one masked conv layer; the baseline and every other layer
-    stay frozen. The mask multiply in ``forward`` gives masked rows an exactly
-    zero gradient, so only the kept rows move. Each epoch shuffles as
-    ``Dataset.iter_batches`` does. Returns the per-epoch loss curve."""
+    """Plain SGD on every row of one conv layer that has a mask entry; the
+    baseline and every other layer stay frozen. In ``prune_runs`` the layer is
+    already shrunk, so its mask keeps every row; on a masked net the mask
+    multiply in ``forward`` gives masked rows an exactly zero gradient, so they
+    stay put. Each epoch shuffles as ``Dataset.iter_batches`` does. Returns the
+    per-epoch loss curve."""
     if layer not in net_pruned.masks:
         raise PruneError(f"refit_layer: layer {layer} has no mask applied")
     params = net_pruned.params[layer].values()
@@ -283,7 +279,7 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 backward(total, tape)
                 for t in params:
                     t.data -= cfg.eta * t.grad
-                _zero_grads(net_pruned)
+                    t.zero_grad()
                 sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
                 batches += 1
             epoch_bd = LossBreakdown(*map(float, sums / batches))

@@ -145,13 +145,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # elementwise / reduction primitives
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 def add(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    _check_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data + b.data)
     if tape is not None:
         tape.record(out, (a, b), lambda g: (g, g))

@@ -51,6 +51,32 @@ class TestTrainEval:
         assert err.startswith("error:") and value in err and "\n" not in err
         assert not path.exists()
 
+    def test_memory_error_single_line_error(self, tmp_path, capsys, monkeypatch):
+        # a failed allocation once ended in a numpy traceback
+        def cmd_train(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(pk.cli, "cmd_train", cmd_train)
+        rc = main(["train", "--model", str(tmp_path / "base.prnk"), *FAST_DATA])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+    @pytest.mark.parametrize("command,flag", [
+        ("eval", "--classes"), ("prune", "--classes"), ("prune", "--image-size"),
+        ("ablation", "--classes"), ("rate-sweep", "--image-size")])
+    def test_model_must_fit_the_dataset(self, model_path, tmp_path, capsys, command, flag):
+        # eval once printed a plausible error rate, prune and ablation failed
+        # deep in the sweep with a label or shape error
+        value, named = {"--classes": ("4", ["3 classes", "4 classes"]),
+                        "--image-size": ("12", ["(3, 8, 8)", "(3, 12, 12)"])}[flag]
+        out = tmp_path / "out"
+        argv = [] if command == "eval" else ["--out", str(out), *FAST_PRUNE]
+        rc = main([command, "--model", str(model_path), *argv, *FAST_DATA, flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and all(n in err for n in named) and "\n" not in err
+        assert captured.out == "" and not out.exists()
+
     def test_missing_model_single_line_error(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.prnk"), *FAST_DATA])
         assert rc == 1
@@ -129,15 +155,18 @@ class TestPrune:
 
     def test_overflow_gives_one_error_line_and_no_warning(self, model_path, tmp_path,
                                                           capsys):
-        # numpy overflow warnings once preceded the error line
-        out = tmp_path / "p"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["prune", "--model", str(model_path), "--out", str(out),
-                       *FAST_DATA, *FAST_PRUNE, "--eta", "1000"])
-        assert rc == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error:") and "\n" not in err
+        # numpy overflow warnings once preceded the error line, and the
+        # failed run once left an empty --out directory behind
+        for command in ("prune", "ablation"):
+            out = tmp_path / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([command, "--model", str(model_path), "--out", str(out),
+                           *FAST_DATA, *FAST_PRUNE, "--eta", "1000"])
+            assert rc == 1
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error:") and "\n" not in err
+            assert not out.exists()
 
     def test_unknown_flag_nonzero_exit(self, model_path):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import prunekit as pk
 from prunekit.network import (ChannelMask, FormatError, LayerSpec, Network,
                               apply_mask, conv, dense_layer, flatten_layer,
-                              forward, load, materialize, maxpool,
+                              forward, forward_chunks, load, materialize, maxpool,
                               reference_specs, relu_layer, save, shrink_layer)
 from prunekit.tensor import ShapeError, Tensor
 
@@ -74,6 +74,27 @@ class TestForward:
             forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=2, upto_layer=1)
         with pytest.raises(ShapeError, match="start layer"):
             forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=len(trained_tiny.specs))
+
+    def test_shape_table_built_once_per_net(self, trained_tiny, tiny_dataset, monkeypatch):
+        # forward once rebuilt the whole table on every call
+        calls = []
+        build = Network._shape_table
+        monkeypatch.setattr(Network, "_shape_table", lambda net: calls.append(1) or build(net))
+        net = trained_tiny.copy()
+        assert len(calls) == 1
+        images, _ = tiny_dataset.normalized("test")
+        mid = forward(net, Tensor(images[:4]), upto_layer=1)
+        forward(net, mid, start=2)
+        forward_chunks(net, forward_chunks(net, images, 8, upto_layer=1), 8, start=2)
+        pk.count_flops(net)
+        assert len(calls) == 1
+
+    def test_mutating_layer_shapes_leaves_the_net(self, trained_tiny):
+        shapes = trained_tiny.layer_shapes()
+        trained_tiny.layer_shapes()[1] = (3, 8, 8)
+        assert trained_tiny.layer_shapes() == shapes
+        with pytest.raises(ShapeError, match="entering layer 2"):
+            forward(trained_tiny, Tensor(np.zeros((1, 3, 8, 8))), start=2)
 
 
 class TestApplyMask:
@@ -179,10 +200,13 @@ class TestShrinkLayer:
                                    forward(apply_mask(trained_tiny, mask), xb).data,
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("layer,keep", [(0, [True, False]), (1, [True, False, True, True])])
+    @pytest.mark.parametrize("layer,keep", [(0, [True, False]), (1, [True, False, True, True]),
+                                            (99, [True, False, True, True])])
     def test_mask_must_fit_a_conv_layer(self, trained_tiny, layer, keep):
-        with pytest.raises(ShapeError, match="mask does not fit layer"):
-            shrink_layer(trained_tiny, ChannelMask(layer, np.array(keep)))
+        # layer 99 once ended in an IndexError from both functions
+        for op in (shrink_layer, apply_mask):
+            with pytest.raises(ShapeError, match=f"mask does not fit layer {layer} .*mask length"):
+                op(trained_tiny, ChannelMask(layer, np.array(keep)))
 
 
 class TestSerialization:
