@@ -126,17 +126,17 @@ def run_suite(n_seeds: int = 20, rtol: float = 1e-3) -> list[tuple[str, float, b
 
 def numerical_grad(fn: Callable[[], float], param: Tensor) -> np.ndarray:
     """Central differences (step ``STEP``) of a scalar closure w.r.t. each entry of ``param``."""
-    flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + STEP
+    # index ``param.data`` itself: a reshape of a strided view would perturb a copy
+    grad = np.zeros(param.shape)
+    for i in np.ndindex(param.shape):
+        orig = param.data[i]
+        param.data[i] = orig + STEP
         hi = fn()
-        flat[i] = orig - STEP
+        param.data[i] = orig - STEP
         lo = fn()
-        flat[i] = orig
+        param.data[i] = orig
         grad[i] = (hi - lo) / (2.0 * STEP)
-    return grad.reshape(param.shape)
+    return grad
 
 
 def check_gradients(build_loss: Callable[[Tape], Tensor], params: Sequence[Tensor],

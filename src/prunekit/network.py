@@ -218,18 +218,23 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
         elif spec.kind == "dense":
             p = net.params[idx]
             h = T.dense(h, p["w"], p["b"], tape)
-    return h
+    # conv2d returns a batch-innermost view; callers get row-major maps
+    return h if h.data.flags.c_contiguous else T.reshape(h, h.shape, tape)
 
 
 def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
                    upto_layer: Optional[int] = None) -> np.ndarray:
     """Untaped ``forward`` of layers ``start..upto_layer`` over the rows of
-    ``x``, ``batch_size`` rows at a time; ``x`` itself if ``upto_layer < start``."""
+    ``x``, ``batch_size`` rows at a time, into one array; ``x`` itself if
+    ``upto_layer < start``."""
     if upto_layer is not None and upto_layer < start:
         return x
-    return np.concatenate([
-        forward(net, Tensor(x[i:i + batch_size]), start=start, upto_layer=upto_layer).data
-        for i in range(0, len(x), batch_size)])
+    shapes = (net.input_shape, *net._shapes)  # entering layer 0, then leaving each layer
+    out = np.empty((len(x), *shapes[-1 if upto_layer is None else upto_layer + 1]))
+    for i in range(0, len(x), batch_size):
+        out[i:i + batch_size] = forward(net, Tensor(x[i:i + batch_size]), start=start,
+                                        upto_layer=upto_layer).data
+    return out
 
 
 def apply_mask(net: Network, mask: ChannelMask) -> Network:

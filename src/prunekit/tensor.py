@@ -15,15 +15,23 @@ one, and ``.grad`` is written only into leaves (tensors no node produced). A
 caller that wants one layer's gradients clears ``requires_grad`` everywhere
 else and pays for nothing more.
 
-``conv2d`` is one im2col/GEMM kernel. The forward copies the (padded) input
-once into ``cols``, a contiguous ``[C*kh*kw, B*ho*wo]`` matrix whose rows run
-over (channel, tap row, tap column) and whose columns run over (image, output
-row, output column); the output is ``w.reshape(M, -1) @ cols``. In backward,
-``gw`` is ``g @ cols.T`` and reads ``cols``; ``gx`` is ``w.reshape(M, -1).T @ g``
-followed by a col2im of kh*kw plane adds into the padded input, and reads only
-the kernel; ``gb`` sums ``g``. So ``cols`` is kept by the backward rule only
-when ``w`` needs a gradient when the op is recorded, and is freed before the
-output copy otherwise.
+``conv2d`` is one im2col/GEMM kernel that works with the batch innermost. It
+reads the input through its ``[C,H,W,B]`` view (free when the input came from
+another conv), copies it once into a zeroed padded buffer when ``pad`` > 0, and
+gathers ``cols``, a contiguous ``[C*kh*kw, ho*wo*B]`` matrix whose rows run
+over (channel, tap row, tap column) and whose columns run over (output row,
+output column, image); the output is ``w.reshape(M, -1) @ cols``, handed back
+as a ``[B,M,ho,wo]`` view of that ``[M,ho,wo,B]`` product, not a copy. In
+backward, ``gw`` is ``g @ cols.T`` and reads ``cols``; ``gx`` is
+``w.reshape(M, -1).T @ g`` followed by a col2im of kh*kw plane adds into a
+``[C,H+2p,W+2p,B]`` buffer, and reads only the kernel; ``gb`` sums ``g``. So
+``cols`` is kept by the backward rule only when ``w`` needs a gradient when the
+op is recorded, and is freed before the op returns otherwise.
+
+Layout rule: every op keeps the ``[B,C,H,W]`` shape contract, but ``data`` may
+be a strided view. ``conv2d`` returns batch-innermost data, and ``relu``,
+``mul`` and ``max_pool2d`` keep their input's memory order; ``reshape`` (so
+``flatten``) always returns row-major data, as ``network.forward`` does.
 """
 
 from __future__ import annotations
@@ -45,15 +53,16 @@ class TapeError(RuntimeError):
 class Tensor:
     """A dense n-d array plus an optional gradient buffer.
 
-    ``data`` is always float64 and row-major. ``grad``, once populated, has the
-    same shape as ``data``. Gradients accumulate across ``backward`` calls;
-    callers zero them between optimization steps.
+    ``data`` is always float64, in any memory order: a strided view is kept as
+    it is, not copied (see the layout rule above). ``grad``, once populated,
+    has the same shape as ``data``. Gradients accumulate across ``backward``
+    calls; callers zero them between optimization steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -193,7 +202,8 @@ def sum_all(a: Tensor, tape: Optional[Tape] = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int], tape: Optional[Tape] = None) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
+    """``a`` in ``shape``, row-major whatever the memory order of ``a``."""
+    out = Tensor(np.ascontiguousarray(a.data.reshape(shape)))
     if tape is not None:
         tape.record(out, (a,), lambda g: (g.reshape(a.shape),))
     return out
@@ -246,11 +256,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({m},)")
     ho, wo = _window_out("conv2d", (h, wd), (kh, kw), stride, pad)
 
-    # im2col: row (c, i, j) of cols holds input channel c at kernel tap (i, j)
-    # for every output position, columns ordered (b, oh, ow)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * kh * kw, -1)
+    # im2col on the [C,H,W,B] view of x: row (c, i, j) of cols holds input
+    # channel c at kernel tap (i, j) for every output position, columns
+    # ordered (oh, ow, b), so each tap row copies runs of wo*B floats
+    xt = x.data.transpose(1, 2, 3, 0)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    if pad:
+        xp = np.zeros((cin, hp, wp, bsz))
+        xp[:, pad:pad + h, pad:pad + wd] = xt
+    else:
+        xp = xt
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(cin * kh * kw, -1)
     w2 = w.data.reshape(m, -1)
     out_mp = w2 @ cols
     if bias is not None:
@@ -258,23 +275,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     # only gw reads cols again; a closure that keeps it pins C*kh*kw*B*ho*wo floats
     if tape is None or not w.requires_grad:
         cols = None
-    out = Tensor(out_mp.reshape(m, bsz, ho, wo).transpose(1, 0, 2, 3))
+    # the [B,M,ho,wo] result is a view of the [M,ho,wo,B] GEMM output
+    out = Tensor(out_mp.reshape(m, ho, wo, bsz).transpose(3, 0, 1, 2))
 
     if tape is not None:
         def bw(g):
-            g_mp = g.transpose(1, 0, 2, 3).reshape(m, -1)
+            g_mp = g.transpose(1, 2, 3, 0).reshape(m, -1)
             gx = gw = None
             if cols is not None:
                 gw = (g_mp @ cols.T).reshape(w.shape)
             if x.requires_grad:
-                # col2im: tap (i, j) of gcols is one contiguous [C,B,ho,wo] plane
-                gcols = (w2.T @ g_mp).reshape(cin, kh, kw, bsz, ho, wo)
-                gxp = np.zeros((cin, bsz, h + 2 * pad, wd + 2 * pad))
+                # col2im: tap (i, j) of gcols is one contiguous [C,ho,wo,B] plane
+                gcols = (w2.T @ g_mp).reshape(cin, kh, kw, ho, wo, bsz)
+                gxp = np.zeros((cin, hp, wp, bsz))
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                        gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
                             gcols[:, i, j]
-                gx = gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+                gx = gxp[:, pad:pad + h, pad:pad + wd].transpose(3, 0, 1, 2)
             if bias is None:
                 return gx, gw
             return gx, gw, g_mp.sum(axis=1) if bias.requires_grad else None
@@ -301,7 +319,7 @@ def max_pool2d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> T
     # window position (i, j), row-major, of every output is one strided view of x
     spans = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
              for i in range(k) for j in range(k)]
-    out_data = x.data[:, :, spans[0][0], spans[0][1]].copy()
+    out_data = x.data[:, :, spans[0][0], spans[0][1]].copy(order="K")
     for si, sj in spans[1:]:
         np.maximum(out_data, x.data[:, :, si, sj], out=out_data)
     out = Tensor(out_data)

@@ -59,3 +59,21 @@ def test_tracer_hooks_bind_and_uninstall(tiny_dataset):
     assert [name for name in before if after[name] is not before[name]] == []
     assert not any(getattr(fn, "__qualname__", "").startswith("Tracer.")
                    for fn in after.values())
+
+
+def test_conv_flop_reads_the_shape_contract():
+    # _conv_flop reads x.shape[1] as C; conv2d's input and output keep the
+    # [B,C,H,W] shape even when their data is a batch-innermost view
+    bsz, cin, h, wd, m, kh, kw = 2, 3, 6, 7, 5, 3, 2
+    rng = np.random.default_rng(3)
+    x = np.ascontiguousarray(rng.standard_normal((cin, h, wd, bsz))).transpose(3, 0, 1, 2)
+    w = pk.tensor.Tensor(rng.standard_normal((m, cin, kh, kw)))
+    tracer = _load_tracer().Tracer(pk)
+    tracer.install()
+    try:
+        out = pk.tensor.conv2d(pk.tensor.Tensor(x), w, pad=1)
+    finally:
+        tracer.uninstall()
+    ho, wo = out.shape[2:]
+    assert (ho, wo) == (h + 2 - kh + 1, wd + 2 - kw + 1)
+    assert tracer.counts["tensor.conv2d.flop"] == 2 * bsz * m * cin * kh * kw * ho * wo

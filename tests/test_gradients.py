@@ -36,3 +36,16 @@ def test_network_end_to_end_gradient(trained_tiny, tiny_dataset):
     assert worst <= 1e-3
     for p in params:
         p.zero_grad()
+
+
+def test_numerical_grad_perturbs_a_strided_view_in_place():
+    # a Tensor keeps a strided view as it is; central differences must move
+    # its own entries, not those of a reshaped copy
+    from prunekit.gradcheck import numerical_grad
+    from prunekit.tensor import Tensor
+
+    x = Tensor(np.arange(24.0).reshape(4, 6).T)  # [6,4] view, not C-contiguous
+    weights = np.random.default_rng(0).standard_normal(x.shape)
+    grad = numerical_grad(lambda: float((weights * x.data ** 2).sum()), x)
+    np.testing.assert_allclose(grad, 2 * weights * x.data, rtol=1e-8)
+    np.testing.assert_array_equal(x.data, np.arange(24.0).reshape(4, 6).T)

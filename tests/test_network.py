@@ -65,6 +65,27 @@ class TestForward:
             mid = forward(net, mid, start=l, upto_layer=l)
             assert np.array_equal(mid.data, forward(net, xb, upto_layer=l).data), l
 
+    def test_returns_row_major_at_every_layer(self, tiny_dataset, rng):
+        # conv2d hands back batch-innermost views; forward's result, taped or
+        # not and at any upto_layer, is row-major like its callers expect
+        net = Network.initialize(reference_specs(image_size=8), (3, 8, 8), 3, rng)
+        xb, _ = tiny_dataset.sample_batch("test", 5, rng)
+        for tape in (None, pk.tensor.Tape()):
+            for l in [*range(len(net.specs)), None]:
+                out = forward(net, xb, tape=tape, upto_layer=l).data
+                assert out.flags.c_contiguous, (tape, l)
+
+    def test_chunks_fill_one_array_equal_to_concatenated_chunks(self, trained_tiny,
+                                                                 tiny_dataset):
+        images, _ = tiny_dataset.normalized("train")
+        for l in [*range(len(trained_tiny.specs)), None]:
+            got = forward_chunks(trained_tiny, images, 7, upto_layer=l)
+            expect = np.concatenate([forward(trained_tiny, Tensor(images[i:i + 7]),
+                                             upto_layer=l).data
+                                     for i in range(0, len(images), 7)])
+            assert got.shape == expect.shape and got.flags.c_contiguous, l
+            assert got.tobytes() == expect.tobytes(), l
+
     def test_start_checks_the_shape_entering_the_layer(self, trained_tiny):
         # layer 2 is conv(4->6) fed by layer 1's [4,8,8] output
         forward(trained_tiny, Tensor(np.zeros((1, 4, 8, 8))), start=2)

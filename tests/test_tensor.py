@@ -2,11 +2,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prunekit.losses import correlation_loss, grams, reconstruction_loss
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
-                             conv2d, dense, flatten, max_pool2d, mul, relu,
+                             conv2d, dense, flatten, max_pool2d, mul, relu, reshape,
                              scatter_channels, softmax_cross_entropy, sum_all)
+
+
+def batch_innermost(a):
+    """``a`` [B,...] as a view of a contiguous [...,B] array, as conv2d returns it."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)).transpose(-1, *range(a.ndim - 1))
+
+
+LAYOUTS = {"row_major": np.ascontiguousarray, "batch_innermost": batch_innermost}
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -51,6 +60,29 @@ def naive_conv2d_backward(x, w, g, stride, pad):
                                 gxp[bi, ci, hi, wj] += go * w[mi, ci, ki, kj]
                                 gw[mi, ci, ki, kj] += go * xp[bi, ci, hi, wj]
     return gxp[:, :, pad:pad + h, pad:pad + wd], gw, gb
+
+
+def nchw_im2col_conv2d(x, w, b, g, stride, pad):
+    """Reference im2col/GEMM kernel in row-major NCHW: ``np.pad``, ``cols``
+    columns ordered (image, output row, output column), an NCHW output copy
+    and a col2im into [C,B,Hp,Wp]. Returns the output and the gradients of
+    ``sum(g * output)``."""
+    bsz, cin, h, wd = x.shape
+    m, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2:4]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * kh * kw, -1)
+    w2 = w.reshape(m, -1)
+    out = (w2 @ cols + b[:, None]).reshape(m, bsz, ho, wo).transpose(1, 0, 2, 3)
+    g_mp = g.transpose(1, 0, 2, 3).reshape(m, -1)
+    gcols = (w2.T @ g_mp).reshape(cin, kh, kw, bsz, ho, wo)
+    gxp = np.zeros((cin, bsz) + xp.shape[2:])
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
+    gx = gxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+    return out, gx, (g_mp @ cols.T).reshape(w.shape), g_mp.sum(axis=1)
 
 
 def naive_max_pool2d(x, k, stride, g):
@@ -125,6 +157,49 @@ class TestConv2d:
         np.testing.assert_allclose(wt.grad, expect_gw, rtol=0, atol=1e-9)
         np.testing.assert_allclose(bt.grad, expect_gb, rtol=0, atol=1e-9)
 
+    @staticmethod
+    def _against_nchw_kernel(rng, bsz, stride, pad, layout):
+        """conv2d and its backward rule, fed ``layout`` input and output
+        gradient, next to ``nchw_im2col_conv2d`` on the same values. The
+        3x2 kernel runs over the smallest map of at least 6x6 it tiles."""
+        h = next(n for n in range(6, 12) if (n + 2 * pad - 3) % stride == 0)
+        wd = next(n for n in range(6, 12) if (n + 2 * pad - 2) % stride == 0)
+        x, w = rng.standard_normal((bsz, 3, h, wd)), rng.standard_normal((4, 3, 3, 2))
+        b = rng.standard_normal(4)
+        xt, wt, bt = (Tensor(LAYOUTS[layout](x), requires_grad=True),
+                      Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        tape = Tape()
+        out = conv2d(xt, wt, stride=stride, pad=pad, bias=bt, tape=tape)
+        g = rng.standard_normal(out.shape)
+        got = (out.data, *tape.nodes[0].backward_fn(LAYOUTS[layout](g)))
+        return got, nchw_im2col_conv2d(x, w, b, g, stride, pad)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_nchw_kernel(self, rng, stride, pad, layout):
+        # each output element is the same dot product, and each input-gradient
+        # element gets the same plane adds in the same order, as in the
+        # reference, so they are bit-equal; gw and gb sum the columns in
+        # another order
+        (out, gx, gw, gb), (e_out, e_gx, e_gw, e_gb) = self._against_nchw_kernel(
+            rng, 8, stride, pad, layout)
+        np.testing.assert_array_equal(out, e_out)
+        np.testing.assert_array_equal(gx, e_gx)
+        np.testing.assert_allclose(gw, e_gw, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gb, e_gb, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_batch_not_multiple_of_eight_matches_nchw_kernel(self, rng, layout):
+        # OpenBLAS computes the GEMM columns past the last multiple of 8 with an
+        # edge kernel that may round differently, and the (oh, ow, b) column
+        # order puts other outputs there than (b, oh, ow) did: with a batch of 8
+        # every column falls in a full block in both orders, with 3 it does not
+        (out, gx, gw, gb), (e_out, e_gx, e_gw, e_gb) = self._against_nchw_kernel(
+            rng, 3, 2, 0, layout)
+        for got, expect in ((out, e_out), (gx, e_gx), (gw, e_gw), (gb, e_gb)):
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
     def test_channel_mismatch_names_dimensions(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
@@ -193,6 +268,46 @@ class TestSimpleOps:
     def test_flatten_row_major(self):
         x = Tensor(np.arange(12.0).reshape(1, 3, 2, 2))
         np.testing.assert_array_equal(flatten(x).data, np.arange(12.0).reshape(1, 12))
+
+
+class TestLayout:
+    """conv2d hands back a batch-innermost view; relu and max_pool2d keep it,
+    reshape and flatten return row-major data."""
+
+    def test_reshape_and_flatten_of_batch_innermost_are_row_major(self, rng):
+        x = rng.standard_normal((4, 3, 2, 5))
+        xt = Tensor(batch_innermost(x))
+        for got, expect in ((flatten(xt).data, x.reshape(4, -1)),
+                            (reshape(xt, (4, 3, 10)).data, x.reshape(4, 3, 10)),
+                            (reshape(xt, xt.shape).data, x)):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, expect)
+
+    def test_conv_relu_pool_conv_chain_matches_naive_oracles(self, rng):
+        x = rng.standard_normal((2, 3, 8, 8))
+        w1, b1 = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        w2, b2 = rng.standard_normal((5, 4, 3, 3)), rng.standard_normal(5)
+        ts = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+        tape = Tape()
+        c1 = conv2d(ts[0], ts[1], pad=1, bias=ts[2], tape=tape)
+        r1 = relu(c1, tape)
+        p1 = max_pool2d(r1, 2, 2, tape)
+        out = conv2d(p1, ts[3], pad=1, bias=ts[4], tape=tape)
+        for h in (c1, r1, p1, out):  # the chain stays batch-innermost, as views
+            assert h.data.strides[0] == 8 and not h.data.flags.c_contiguous, h.data.strides
+        g = rng.standard_normal(out.shape)
+        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+
+        e_c1 = naive_conv2d(x, w1, 1, 1) + b1[:, None, None]
+        e_r1 = np.maximum(e_c1, 0.0)
+        e_p1, _ = naive_max_pool2d(e_r1, 2, 2, np.zeros(p1.shape))
+        np.testing.assert_allclose(out.data, naive_conv2d(e_p1, w2, 1, 1) + b2[:, None, None],
+                                   atol=1e-6)
+        e_gp1, e_gw2, e_gb2 = naive_conv2d_backward(e_p1, w2, g, 1, 1)
+        _, e_gr1 = naive_max_pool2d(e_r1, 2, 2, e_gp1)
+        e_gx, e_gw1, e_gb1 = naive_conv2d_backward(x, w1, e_gr1 * (e_c1 > 0), 1, 1)
+        for t, expect in zip(ts, (e_gx, e_gw1, e_gb1, e_gw2, e_gb2)):
+            np.testing.assert_allclose(t.grad, expect, rtol=0, atol=1e-9)
 
 
 class TestBackward:
