@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gradcheck, metrics
 from .data import DataError, Dataset, load_cifar10, synth_dataset
-from .losses import LossWeights
+from .losses import LOSS_KEYS, LossWeights
 from .network import Network, load, reference_specs, save
 from .pruner import PruneConfig, prune_model, prune_runs, train_baseline
 
@@ -63,27 +63,28 @@ def _load_dataset(args) -> Dataset:
 
 def _load_inputs(args) -> tuple[Dataset, Network]:
     """The dataset and the ``--model`` network, which must take the dataset's
-    images and predict its classes."""
+    images and output logits of its classes."""
     dataset, net = _load_dataset(args), load(args.model)
-    if (net.input_shape, net.num_classes) != (dataset.image_shape, dataset.num_classes):
+    output = (net.input_shape, *net.layer_shapes())[-1]
+    if (net.input_shape, output) != (dataset.image_shape, (dataset.num_classes,)):
         raise DataError(f"model {args.model} takes {net.input_shape} images of "
-                        f"{net.num_classes} classes, the dataset has {dataset.image_shape} "
-                        f"images of {dataset.num_classes} classes")
+                        f"{net.num_classes} classes and outputs {output}, the dataset has "
+                        f"{dataset.image_shape} images of {dataset.num_classes} classes")
     return dataset, net
 
 
 def _add_prune_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=0.3)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--losses", default="r,s,c",
-                   help="comma-separated subset of r,s,c")
-    p.add_argument("--selection-batches", type=int, default=10)
-    p.add_argument("--refit-epochs", type=int, default=20)
-    p.add_argument("--finetune-epochs", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rate", type=float, default=0.3)  # PruneConfig.rate has no default
+    p.add_argument("--alpha", type=float, default=PruneConfig.weights.alpha)
+    p.add_argument("--beta", type=float, default=PruneConfig.weights.beta)
+    p.add_argument("--eta", type=float, default=PruneConfig.eta)
+    p.add_argument("--losses", help=f"comma-separated subset of {','.join(LOSS_KEYS)}",
+                   default=",".join(k for k in LOSS_KEYS if k in PruneConfig.enabled_losses))
+    p.add_argument("--selection-batches", type=int, default=PruneConfig.selection_batches)
+    p.add_argument("--refit-epochs", type=int, default=PruneConfig.refit_epochs)
+    p.add_argument("--finetune-epochs", type=int, default=PruneConfig.finetune_epochs)
+    p.add_argument("--batch-size", type=int, default=PruneConfig.batch_size)
+    p.add_argument("--seed", type=int, default=PruneConfig.seed)
 
 
 def _prune_config(args) -> PruneConfig:

@@ -47,11 +47,10 @@ class LossBreakdown:
 
 
 def _as_batched(name: str, f: Tensor) -> np.ndarray:
-    if f.data.ndim == 3:
-        return f.data[None]
-    if f.data.ndim == 4:
-        return f.data
-    raise ShapeError(f"{name}: expected [M,H,Z] or [B,M,H,Z], got {f.shape}")
+    """``f`` as row-major [B,M,H,Z] data, so its sums and Grams add in one order."""
+    if f.data.ndim not in (3, 4):
+        raise ShapeError(f"{name}: expected [M,H,Z] or [B,M,H,Z], got {f.shape}")
+    return np.ascontiguousarray(f.data.reshape(-1, *f.shape[-3:]))
 
 
 def reconstruction_loss(f_base: Tensor, f_pruned: Tensor,

@@ -97,17 +97,18 @@ class ChannelMask:
 
 class Network:
     """Ordered layer chain with named parameters and optional channel masks. Its
-    per-layer output shapes are derived once, at construction, from ``specs``, a tuple."""
+    per-layer output shapes are derived once, at construction, from ``specs``, a tuple.
+    ``trained``, the model file's one flag bit, marks a net fit to be a pruning baseline."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_shape: tuple, num_classes: int,
                  params: Optional[dict] = None, masks: Optional[dict] = None,
-                 meta: Optional[dict] = None):
+                 trained: bool = False):
         self.specs = tuple(specs)
         self.input_shape = tuple(input_shape)
         self.num_classes = int(num_classes)
         self.params = params if params is not None else {}
         self.masks = masks if masks is not None else {}
-        self.meta = meta if meta is not None else {"trained": False}
+        self.trained = trained
         self._shapes = self._shape_table()  # raises on incompatible adjacent layers
 
     @classmethod
@@ -170,13 +171,13 @@ class Network:
                 yield idx, name, self.params[idx][name]
 
     def copy(self) -> "Network":
-        """Deep copy: parameters, masks and metadata are all new objects."""
+        """Deep copy: parameters and masks are new objects."""
         params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
                         for k, t in entry.items()}
                   for idx, entry in self.params.items()}
         return Network(self.specs, self.input_shape, self.num_classes,
                        params=params, masks={k: v.copy() for k, v in self.masks.items()},
-                       meta=dict(self.meta))
+                       trained=self.trained)
 
 
 def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
@@ -218,8 +219,7 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
         elif spec.kind == "dense":
             p = net.params[idx]
             h = T.dense(h, p["w"], p["b"], tape)
-    # conv2d returns a batch-innermost view; callers get row-major maps
-    return h if h.data.flags.c_contiguous else T.reshape(h, h.shape, tape)
+    return h
 
 
 def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
@@ -245,7 +245,7 @@ def apply_mask(net: Network, mask: ChannelMask) -> Network:
     _check_mask_fits(net, mask)
     out = Network(net.specs, net.input_shape, net.num_classes,
                   params=net.params, masks={k: v.copy() for k, v in net.masks.items()},
-                  meta=dict(net.meta))
+                  trained=net.trained)
     out.masks[mask.layer] = mask.keep.copy()
     return out
 
@@ -276,7 +276,7 @@ def shrink_layer(net: Network, mask: ChannelMask) -> Network:
             w = w.reshape(len(mask.keep), -1, w.shape[1])[kidx].reshape(-1, w.shape[1])
             specs[nxt] = replace(specs[nxt], in_features=w.shape[0])
         params[nxt] = {**params[nxt], "w": Tensor(w, requires_grad=True)}
-    return Network(specs, net.input_shape, net.num_classes, params=params, meta=dict(net.meta),
+    return Network(specs, net.input_shape, net.num_classes, params=params, trained=net.trained,
                    masks={k: v[kidx] if k == l else v for k, v in net.masks.items()})
 
 
@@ -322,8 +322,12 @@ class _Reader:
 
 
 def save(net: Network, path) -> None:
+    for l, keep in sorted(net.masks.items()):
+        if not keep.all():
+            raise ValueError(f"save: the mask of layer {l} drops channels, which a model "
+                             f"file cannot hold; materialize the network first")
     body = _MAGIC + struct.pack("<H", _FORMAT_VERSION)
-    body += struct.pack("<B", 1 if net.meta.get("trained") else 0)
+    body += struct.pack("<B", 1 if net.trained else 0)
     body += struct.pack("<I", net.num_classes)
     body += struct.pack("<B", len(net.input_shape))
     body += struct.pack(f"<{len(net.input_shape)}I", *net.input_shape)
@@ -401,8 +405,7 @@ def load(path) -> Network:
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after parameter payload")
     try:
-        return Network(specs, input_shape, num_classes, params=params,
-                       meta={"trained": bool(flags & 1)})
+        return Network(specs, input_shape, num_classes, params=params, trained=bool(flags & 1))
     except ShapeError as exc:
         raise FormatError(f"inconsistent layer table: {exc}") from exc
 

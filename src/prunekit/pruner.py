@@ -34,7 +34,7 @@ DIVERGENCE_FACTOR = 10.0  # of refit and fine-tuning; see _check_divergence
 
 
 class UntrainedBaselineError(PruneError):
-    """The baseline model's metadata says it was never trained."""
+    """The baseline model is not flagged as trained."""
 
 
 @dataclass(frozen=True)
@@ -308,8 +308,8 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
     are computed once per call: the test error with one ``evaluate``, the
     train error from the first run's baseline logits when that run keeps a
     baseline map, else with one ``evaluate``."""
-    if not net_base.meta.get("trained"):
-        raise UntrainedBaselineError("baseline model metadata says it is untrained")
+    if not net_base.trained:
+        raise UntrainedBaselineError("baseline model is not flagged as trained")
     convs = net_base.conv_layers()
     if not convs:
         raise PruneError("network has no prunable conv layers")
@@ -348,7 +348,7 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                                      batch_size=cfg.batch_size, seed=cfg.seed)
             final_train, final_test = (finetune_log[-1]["train_error"],
                                        finetune_log[-1]["test_error"])
-        pruned.meta["trained"] = True
+        pruned.trained = True
 
         yield pruned, PruneReport(
             config={
@@ -427,5 +427,5 @@ def train_baseline(net: Network, dataset: Dataset, epochs: int, eta: float = 0.0
     if epochs < 1:
         raise ValueError(f"a baseline needs at least one training epoch, got {epochs}")
     log = fine_tune(net, dataset, epochs, eta=eta, batch_size=batch_size, seed=seed)
-    net.meta["trained"] = True
+    net.trained = True
     return log

@@ -29,9 +29,9 @@ backward, ``gw`` is ``g @ cols.T`` and reads ``cols``; ``gx`` is
 op is recorded, and is freed before the op returns otherwise.
 
 Layout rule: every op keeps the ``[B,C,H,W]`` shape contract, but ``data`` may
-be a strided view. ``conv2d`` returns batch-innermost data, and ``relu``,
-``mul`` and ``max_pool2d`` keep their input's memory order; ``reshape`` (so
-``flatten``) always returns row-major data, as ``network.forward`` does.
+be a strided view. ``conv2d`` returns batch-innermost data; ``relu``, ``mul``,
+``max_pool2d`` and so ``network.forward`` keep their input's memory order; only
+``reshape`` (so ``flatten``, for ``dense``) and the map losses copy to row-major.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ import json
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import prunekit as pk
-from prunekit.cli import main, read_config
+from prunekit.cli import _prune_config, build_parser, main, read_config
+from prunekit.pruner import PruneConfig
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
 FAST_PRUNE = ["--selection-batches", "2", "--refit-epochs", "1", "--batch-size", "16"]
@@ -77,6 +79,23 @@ class TestTrainEval:
         assert err.startswith("error:") and all(n in err for n in named) and "\n" not in err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "prune"])
+    @pytest.mark.parametrize("specs,output", [([], "(3, 8, 8)"),
+                                              ([pk.network.conv(3, 4)], "(4, 8, 8)")])
+    def test_model_without_logits_single_line_error(self, tmp_path, capsys, command,
+                                                    specs, output):
+        # a layer-less or conv-only model once failed with a numpy broadcast error
+        path, out = tmp_path / "headless.prnk", tmp_path / "out"
+        net = pk.Network.initialize(specs, (3, 8, 8), 3, np.random.default_rng(0))
+        net.trained = True
+        pk.save(net, path)
+        argv = [] if command == "eval" else ["--out", str(out), *FAST_PRUNE]
+        rc = main([command, "--model", str(path), *argv, *FAST_DATA])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and f"outputs {output}" in err and "\n" not in err
+        assert not out.exists()
+
     def test_missing_model_single_line_error(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.prnk"), *FAST_DATA])
         assert rc == 1
@@ -102,6 +121,10 @@ class TestSeedFlags:
 
 
 class TestPrune:
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["prune", "--model", "m", "--out", "o"])
+        assert _prune_config(args) == PruneConfig(rate=0.3)
+
     def test_reference_default_configuration(self, model_path, tmp_path):
         rc = main(["prune", "--model", str(model_path), "--out", str(tmp_path),
                    "--rate", "0.3", "--losses", "r,s,c",

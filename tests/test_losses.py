@@ -96,6 +96,28 @@ class TestCorrelationLoss:
             assert reconstruction_loss(fb, fp).item() >= 0.0
 
 
+class TestLayout:
+    def test_batch_innermost_view_equals_row_major_copy(self, rng):
+        # forward hands back conv maps as strided views; each map loss must give
+        # byte-equal values and input gradients for a view and its row-major copy
+        def first_axis_innermost(a):
+            return np.ascontiguousarray(np.moveaxis(a, 0, -1)).transpose(-1, *range(a.ndim - 1))
+
+        def run(loss, fb, fp):
+            ts = [Tensor(fb, requires_grad=True), Tensor(fp, requires_grad=True)]
+            tape = Tape()
+            out = loss(*ts, tape)
+            backward(out, tape)
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+        for shape in ((6, 8, 8), (5, 6, 8, 8), (16, 32, 6, 6)):
+            fb, fp = rng.standard_normal(shape), rng.standard_normal(shape)
+            views = first_axis_innermost(fb), first_axis_innermost(fp)
+            assert not views[0].flags.c_contiguous
+            for loss in (reconstruction_loss, correlation_loss):
+                assert run(loss, *views) == run(loss, fb, fp), (loss.__name__, shape)
+
+
 class TestClassificationLoss:
     def test_decreases_with_margin(self):
         from prunekit.tensor import softmax_cross_entropy

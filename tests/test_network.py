@@ -65,16 +65,6 @@ class TestForward:
             mid = forward(net, mid, start=l, upto_layer=l)
             assert np.array_equal(mid.data, forward(net, xb, upto_layer=l).data), l
 
-    def test_returns_row_major_at_every_layer(self, tiny_dataset, rng):
-        # conv2d hands back batch-innermost views; forward's result, taped or
-        # not and at any upto_layer, is row-major like its callers expect
-        net = Network.initialize(reference_specs(image_size=8), (3, 8, 8), 3, rng)
-        xb, _ = tiny_dataset.sample_batch("test", 5, rng)
-        for tape in (None, pk.tensor.Tape()):
-            for l in [*range(len(net.specs)), None]:
-                out = forward(net, xb, tape=tape, upto_layer=l).data
-                assert out.flags.c_contiguous, (tape, l)
-
     def test_chunks_fill_one_array_equal_to_concatenated_chunks(self, trained_tiny,
                                                                  tiny_dataset):
         images, _ = tiny_dataset.normalized("train")
@@ -241,7 +231,7 @@ class TestSerialization:
         path = tmp_path / "m.prnk"
         save(trained_tiny, path)
         back = load(path)
-        assert back.meta["trained"] == trained_tiny.meta["trained"]
+        assert back.trained == trained_tiny.trained
         for (i1, n1, t1), (i2, n2, t2) in zip(trained_tiny.parameters(), back.parameters()):
             assert (i1, n1) == (i2, n2)
             assert t1.data.tobytes() == t2.data.tobytes()
@@ -326,6 +316,17 @@ class TestSerialization:
         path.write_bytes(_resigned(_put(blob, off, fmt, value)))
         with pytest.raises(FormatError, match=match):
             load(path)
+
+    def test_mask_that_drops_channels_is_refused(self, trained_tiny, tmp_path):
+        # the file holds no masks: a masked net once loaded back unmasked
+        path = tmp_path / "m.prnk"
+        keep = np.ones(6, dtype=bool)
+        save(apply_mask(trained_tiny, ChannelMask(2, keep)), path)
+        assert load(path).trained
+        keep[3] = False
+        with pytest.raises(ValueError, match="layer 2.*materialize"):
+            save(apply_mask(trained_tiny, ChannelMask(2, keep)), tmp_path / "masked.prnk")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.prnk"]
 
     def test_logits_survive_round_trip(self, trained_tiny, tiny_dataset, tmp_path, rng):
         path = tmp_path / "m.prnk"

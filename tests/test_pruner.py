@@ -199,7 +199,7 @@ class TestPruneModel:
         rng = np.random.default_rng(0)
         net = Network.initialize(
             [flatten_layer(), dense_layer(3 * 8 * 8, 3)], (3, 8, 8), 3, rng)
-        net.meta["trained"] = True
+        net.trained = True
         with pytest.raises(pk.pruner.PruneError, match="no prunable"):
             prune_model(net, small_cfg(), tiny_dataset)
 
@@ -413,14 +413,14 @@ class TestFineTune:
         before = {(i, n): t.data.tobytes() for i, n, t in tiny_net.parameters()}
         with pytest.raises(ValueError, match="epoch"):
             train_baseline(tiny_net, tiny_dataset, epochs=epochs)
-        assert not tiny_net.meta.get("trained")
+        assert not tiny_net.trained
         assert {(i, n): t.data.tobytes() for i, n, t in tiny_net.parameters()} == before
 
     def test_nan_baseline_is_never_flagged_trained(self, tiny_net, tiny_dataset):
         tiny_net.params[0]["w"].data[0, 0, 0, 0] = np.nan
         with pytest.raises(DivergenceError):
             train_baseline(tiny_net, tiny_dataset, epochs=2, seed=0)
-        assert not tiny_net.meta["trained"]
+        assert not tiny_net.trained
 
     def test_eta_schedule_variants(self, trained_tiny, tiny_dataset):
         # the rate is one float for every epoch; its default is 0.01
