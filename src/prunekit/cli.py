@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -62,14 +63,10 @@ def _load_dataset(args) -> Dataset:
 
 
 def _load_inputs(args) -> tuple[Dataset, Network]:
-    """The dataset and the ``--model`` network, which must take the dataset's
-    images and output logits of its classes."""
+    """The dataset and the ``--model`` network, which must fit it
+    (``metrics.check_fits``)."""
     dataset, net = _load_dataset(args), load(args.model)
-    output = (net.input_shape, *net.layer_shapes())[-1]
-    if (net.input_shape, output) != (dataset.image_shape, (dataset.num_classes,)):
-        raise DataError(f"model {args.model} takes {net.input_shape} images of "
-                        f"{net.num_classes} classes and outputs {output}, the dataset has "
-                        f"{dataset.image_shape} images of {dataset.num_classes} classes")
+    metrics.check_fits(net, dataset)
     return dataset, net
 
 
@@ -236,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a baseline model")
     _add_data_args(p)
     p.add_argument("--model", required=True, help="output model path")
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=25)  # train_baseline has no default
+    defaults = inspect.signature(train_baseline).parameters
+    p.add_argument("--eta", type=float, default=defaults["eta"].default)
+    p.add_argument("--batch-size", type=int, default=defaults["batch_size"].default)
+    p.add_argument("--seed", type=int, default=defaults["seed"].default)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("prune", help="prune a trained model")

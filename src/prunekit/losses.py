@@ -10,7 +10,10 @@ as M channels by N = H*Z spatial positions per example:
   activation mass sits spatially;
 * classification: mean softmax cross-entropy of the pruned network's logits.
 
-Batched inputs are averaged per example, then over the batch.
+Batched inputs are averaged per example, then over the batch. Each loss,
+``joint_loss`` included, records one tape node with its own backward rule:
+``joint_loss`` adds the enabled terms in r, s, c order and multiplies by alpha
+and beta only where they are not 1.0.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as T
 from .metrics import DivergenceError
 from .tensor import ShapeError, Tape, Tensor
 
@@ -46,20 +48,21 @@ class LossBreakdown:
     total: float
 
 
-def _as_batched(name: str, f: Tensor) -> np.ndarray:
-    """``f`` as row-major [B,M,H,Z] data, so its sums and Grams add in one order."""
-    if f.data.ndim not in (3, 4):
-        raise ShapeError(f"{name}: expected [M,H,Z] or [B,M,H,Z], got {f.shape}")
-    return np.ascontiguousarray(f.data.reshape(-1, *f.shape[-3:]))
+def _as_batched(name: str, f_base: Tensor,
+                f_pruned: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Both maps, which must share one [M,H,Z] or [B,M,H,Z] shape, as row-major
+    [B,M,H,Z] data, so their sums and Grams add in one order."""
+    if f_base.shape != f_pruned.shape:
+        raise ShapeError(f"{name}: shapes {f_base.shape} and {f_pruned.shape} differ")
+    if f_base.data.ndim not in (3, 4):
+        raise ShapeError(f"{name}: expected [M,H,Z] or [B,M,H,Z], got {f_base.shape}")
+    return tuple(np.ascontiguousarray(f.data.reshape(-1, *f.shape[-3:]))
+                 for f in (f_base, f_pruned))
 
 
 def reconstruction_loss(f_base: Tensor, f_pruned: Tensor,
                         tape: Optional[Tape] = None) -> Tensor:
-    if f_base.shape != f_pruned.shape:
-        raise ShapeError(
-            f"reconstruction_loss: shapes {f_base.shape} and {f_pruned.shape} differ")
-    fb = _as_batched("reconstruction_loss", f_base)
-    fp = _as_batched("reconstruction_loss", f_pruned)
+    fb, fp = _as_batched("reconstruction_loss", f_base, f_pruned)
     bsz = fb.shape[0]
     t_norm = fb[0].size  # M * H * Z
     diff = fb - fp
@@ -82,11 +85,7 @@ def grams(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def correlation_loss(f_base: Tensor, f_pruned: Tensor,
                      tape: Optional[Tape] = None) -> Tensor:
-    if f_base.shape != f_pruned.shape:
-        raise ShapeError(
-            f"correlation_loss: shapes {f_base.shape} and {f_pruned.shape} differ")
-    fb = _as_batched("correlation_loss", f_base)
-    fp = _as_batched("correlation_loss", f_pruned)
+    fb, fp = _as_batched("correlation_loss", f_base, f_pruned)
     bsz, m = fb.shape[0], fb.shape[1]
     n = fb.shape[2] * fb.shape[3]
     fb2 = fb.reshape(bsz, m, n)
@@ -131,14 +130,20 @@ def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tenso
         if term is not None and not np.isfinite(term.data).all():
             raise DivergenceError(f"joint_loss: {name} is not finite")
 
-    total = None
+    terms, coefs, value = [], [], None
     for key, term, coef in (("r", l_r, 1.0), ("s", l_s, w.alpha), ("c", l_c, w.beta)):
         if key not in enabled:
             continue
         if term is None:
             raise ValueError(f"joint_loss: enabled term {key!r} was not provided")
-        part = term if coef == 1.0 else T.scale(term, coef, tape)
-        total = part if total is None else T.add(total, part, tape)
+        part = term.item() if coef == 1.0 else term.item() * coef
+        value = part if value is None else value + part
+        terms.append(term)
+        coefs.append(coef)
+    total = Tensor(value)
+    if tape is not None:
+        tape.record(total, terms, lambda g: tuple(g * c if t.requires_grad else None
+                                                  for t, c in zip(terms, coefs)))
     return total, LossBreakdown(
         l_r=l_r.item() if l_r is not None else 0.0,
         l_s=l_s.item() if l_s is not None else 0.0,

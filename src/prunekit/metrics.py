@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .network import Network, forward_chunks
 
 
@@ -82,8 +82,19 @@ def error_rate(logits: np.ndarray, labels: np.ndarray, split: str) -> float:
     return int((logits.argmax(axis=1) != labels).sum()) / len(labels)
 
 
+def check_fits(net: Network, dataset: Dataset) -> None:
+    """Raise ``DataError`` unless ``net`` takes the dataset's images and outputs
+    logits of its classes."""
+    output = (net.input_shape, *net.layer_shapes())[-1]
+    if (net.input_shape, output) != (dataset.image_shape, (dataset.num_classes,)):
+        raise DataError(f"model takes {net.input_shape} images of {net.num_classes} "
+                        f"classes and outputs {output}, the dataset has "
+                        f"{dataset.image_shape} images of {dataset.num_classes} classes")
+
+
 def evaluate(net: Network, dataset: Dataset, split: str = "test") -> float:
     """Top-1 error fraction of the network on one labeled split, 256 rows at a time."""
+    check_fits(net, dataset)
     images, labels = dataset.normalized(split)
     return error_rate(forward_chunks(net, images, 256), labels, split)
 

@@ -24,7 +24,8 @@ import numpy as np
 from .data import Dataset, epoch_indices, sample_indices
 from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
                      joint_loss, reconstruction_loss)
-from .metrics import CompressionStats, DivergenceError, PruneError, error_rate, evaluate
+from .metrics import (CompressionStats, DivergenceError, PruneError, check_fits,
+                      error_rate, evaluate)
 from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
                       shrink_layer)
 from .tensor import Tape, Tensor, backward, scatter_channels, softmax_cross_entropy
@@ -308,6 +309,7 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
     are computed once per call: the test error with one ``evaluate``, the
     train error from the first run's baseline logits when that run keeps a
     baseline map, else with one ``evaluate``."""
+    check_fits(net_base, dataset)
     if not net_base.trained:
         raise UntrainedBaselineError("baseline model is not flagged as trained")
     convs = net_base.conv_layers()
@@ -383,6 +385,7 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int, eta: float = 0.01,
     """SGD with momentum ``MOMENTUM`` and one rate ``eta`` on every parameter
     under the cross-entropy loss; diverging epochs raise (``_check_divergence``).
     Returns a per-epoch log of mean loss and train/test error."""
+    check_fits(net, dataset)
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"learning rate must be finite and >= 0, got {eta}")
     if batch_size < 1:

@@ -154,15 +154,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # elementwise / reduction primitives
 
 
-def add(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, g))
-    return out
-
-
 def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Elementwise product; shapes must match or ``b`` must broadcast to ``a``."""
     try:
@@ -184,13 +175,6 @@ def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
                     gb = gb.sum(axis=axes, keepdims=True)
             return ga, gb
         tape.record(out, (a, b), bw)
-    return out
-
-
-def scale(a: Tensor, c: float, tape: Optional[Tape] = None) -> Tensor:
-    out = Tensor(a.data * c)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g * c,))
     return out
 
 

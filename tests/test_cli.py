@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 import prunekit as pk
 from prunekit.cli import _prune_config, build_parser, main, read_config
-from prunekit.pruner import PruneConfig
+from prunekit.pruner import PruneConfig, train_baseline
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
 FAST_PRUNE = ["--selection-batches", "2", "--refit-epochs", "1", "--batch-size", "16"]
@@ -95,6 +96,12 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and f"outputs {output}" in err and "\n" not in err
         assert not out.exists()
+
+    def test_flag_defaults_are_train_baseline_defaults(self):
+        args = build_parser().parse_args(["train", "--model", "m"])
+        params = inspect.signature(train_baseline).parameters
+        assert ({k: vars(args)[k] for k in ("eta", "batch_size", "seed")}
+                == {k: params[k].default for k in ("eta", "batch_size", "seed")})
 
     def test_missing_model_single_line_error(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.prnk"), *FAST_DATA])

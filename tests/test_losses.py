@@ -184,6 +184,24 @@ class TestJointLoss:
         with pytest.raises(ValueError):
             LossWeights(-0.1, 1.0)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.001, 1.0), (0.0, 0.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("losses", ["r", "s", "c", "rs", "rc", "sc", "rsc"])
+    def test_one_node_records_the_weighted_sum(self, rng, losses, alpha, beta):
+        vals = rng.random(3)
+        terms = [Tensor(v, requires_grad=True) for v in vals]
+        coefs = dict(zip("rsc", (1.0, alpha, beta)))
+        tape = Tape()
+        total, bd = joint_loss(*terms, LossWeights(alpha, beta), frozenset(losses), tape)
+        assert len(tape.nodes) == 1
+        expect = None
+        for key, v in zip("rsc", vals):
+            if key in losses:
+                expect = coefs[key] * v if expect is None else expect + coefs[key] * v
+        assert total.item() == bd.total == expect
+        backward(total, tape)
+        for key, t in zip("rsc", terms):
+            assert (t.grad == coefs[key]) if key in losses else t.grad is None, key
+
     def test_total_is_differentiable(self, rng):
         fb = Tensor(rng.standard_normal((2, 2, 2)))
         fp = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)

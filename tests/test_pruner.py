@@ -6,10 +6,10 @@ import pytest
 
 import prunekit as pk
 from prunekit import pruner
-from prunekit.data import Dataset
+from prunekit.data import DataError, Dataset
 from prunekit.losses import correlation_loss, joint_loss, reconstruction_loss
-from prunekit.network import (ChannelMask, Network, apply_mask, conv,
-                              dense_layer, flatten_layer, forward, materialize, save)
+from prunekit.network import (ChannelMask, Network, apply_mask, conv, dense_layer,
+                              flatten_layer, forward, materialize, relu_layer, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
                              frozen_activations, prune_model, refit_layer,
@@ -243,6 +243,56 @@ class TestPruneModel:
         # 0 once failed in range(), -3 in np.concatenate, both deep in the sweep
         with pytest.raises(ValueError, match="batch_size"):
             PruneConfig(rate=0.5, batch_size=batch_size)
+
+
+class TestModelMustFitData:
+    """A model that does not take the dataset's images or does not output
+    logits of its classes raises ``DataError`` at every library entry, before
+    any forward pass."""
+
+    @pytest.fixture
+    def no_forward(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("forward pass before the fit check")
+        for module in (pruner, pk.metrics):
+            monkeypatch.setattr(module, "forward_chunks", fail)
+        monkeypatch.setattr(pruner, "forward", fail)
+
+    @staticmethod
+    def _net(specs, classes, trained=True):
+        net = Network.initialize(specs, (3, 8, 8), classes, np.random.default_rng(0))
+        net.trained = trained
+        return net
+
+    @pytest.mark.parametrize("specs", [[conv(3, 4)], [conv(3, 4), relu_layer()]])
+    def test_headless_chain(self, tiny_dataset, no_forward, specs):
+        # conv-only once failed with "start layer 1 out of range", conv + relu
+        # with "logits must be 2-d", both in the sweep
+        with pytest.raises(DataError, match=r"outputs \(4, 8, 8\)"):
+            prune_model(self._net(specs, 3), small_cfg(), tiny_dataset)
+
+    def test_more_classes_than_the_data(self, tiny_dataset, no_forward):
+        # once gave a plausible report and error rate
+        from tests.conftest import tiny_specs
+        net = self._net(tiny_specs(4), 4)
+        with pytest.raises(DataError, match="4 classes and outputs .* 3 classes"):
+            prune_model(net, small_cfg(), tiny_dataset)
+        with pytest.raises(DataError, match="4 classes and outputs .* 3 classes"):
+            pk.evaluate(net, tiny_dataset)
+
+    def test_fewer_classes_than_the_data(self, no_forward):
+        # evaluate once returned a plausible error, fine_tune failed with
+        # "label out of range"
+        from tests.conftest import tiny_specs
+        four = pk.synth_dataset(4, 10, image_size=8, seed=0)
+        net = self._net(tiny_specs(3), 3, trained=False)
+        before = {(i, n): t.data.tobytes() for i, n, t in net.parameters()}
+        for call in (lambda: pk.evaluate(net, four), lambda: fine_tune(net, four, 1),
+                     lambda: train_baseline(net, four, 1)):
+            with pytest.raises(DataError, match="3 classes and outputs .* 4 classes"):
+                call()
+        assert {(i, n): t.data.tobytes() for i, n, t in net.parameters()} == before
+        assert not net.trained
 
 
 LOSS_SETS = ["r", "s", "c", "rs", "rc", "sc", "rsc"]

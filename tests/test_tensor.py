@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from prunekit.losses import correlation_loss, grams, reconstruction_loss
+from prunekit.losses import (LOSS_KEYS, LossWeights, correlation_loss, grams, joint_loss,
+                             reconstruction_loss)
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
                              conv2d, dense, flatten, max_pool2d, mul, relu, reshape,
                              scatter_channels, softmax_cross_entropy, sum_all)
@@ -320,8 +321,7 @@ class TestBackward:
     def test_half_squared_norm_gives_x(self, rng):
         x = Tensor(rng.standard_normal(7), requires_grad=True)
         tape = Tape()
-        from prunekit.tensor import scale
-        loss = scale(sum_all(mul(x, x, tape), tape), 0.5, tape)
+        loss = mul(sum_all(mul(x, x, tape), tape), Tensor(0.5), tape)
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, x.data, atol=1e-12)
 
@@ -414,6 +414,8 @@ NEED_DRIVEN_CASES = {
                          lambda t, tape: correlation_loss(t[0], t[1], tape)),
     "scatter_channels": ([(2, 2, 3, 3)],
                          lambda t, tape: scatter_channels(t[0], [3, 0], 4, tape)),
+    "joint_loss": ([(), (), ()],
+                   lambda t, tape: joint_loss(*t, LossWeights(0.5, 1.5), LOSS_KEYS, tape)[0]),
 }
 
 
