@@ -62,39 +62,28 @@ def _load_dataset(args) -> Dataset:
                          seed=args.data_seed)
 
 
-def _load_inputs(args) -> tuple[Dataset, Network]:
-    """The dataset and the ``--model`` network, which must fit it
-    (``metrics.check_fits``)."""
-    dataset, net = _load_dataset(args), load(args.model)
-    metrics.check_fits(net, dataset)
-    return dataset, net
+# PruneConfig fields that each map onto one flag; rate, weights and enabled_losses parse their own
+_PRUNE_FLAGS = ("eta", "selection_batches", "refit_epochs", "finetune_epochs", "batch_size",
+                "seed")
 
 
 def _add_prune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=0.3)  # PruneConfig.rate has no default
     p.add_argument("--alpha", type=float, default=PruneConfig.weights.alpha)
     p.add_argument("--beta", type=float, default=PruneConfig.weights.beta)
-    p.add_argument("--eta", type=float, default=PruneConfig.eta)
     p.add_argument("--losses", help=f"comma-separated subset of {','.join(LOSS_KEYS)}",
                    default=",".join(k for k in LOSS_KEYS if k in PruneConfig.enabled_losses))
-    p.add_argument("--selection-batches", type=int, default=PruneConfig.selection_batches)
-    p.add_argument("--refit-epochs", type=int, default=PruneConfig.refit_epochs)
-    p.add_argument("--finetune-epochs", type=int, default=PruneConfig.finetune_epochs)
-    p.add_argument("--batch-size", type=int, default=PruneConfig.batch_size)
-    p.add_argument("--seed", type=int, default=PruneConfig.seed)
+    for name in _PRUNE_FLAGS:
+        default = getattr(PruneConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _prune_config(args) -> PruneConfig:
     return PruneConfig(
         rate=args.rate,
         weights=LossWeights(args.alpha, args.beta),
-        eta=args.eta,
-        selection_batches=args.selection_batches,
-        refit_epochs=args.refit_epochs,
-        finetune_epochs=args.finetune_epochs,
         enabled_losses=frozenset(p.strip() for p in args.losses.split(",") if p.strip()),
-        seed=args.seed,
-        batch_size=args.batch_size,
+        **{name: getattr(args, name) for name in _PRUNE_FLAGS},
     )
 
 
@@ -105,7 +94,7 @@ def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[st
     ``repr`` floats, ``<name>.txt`` and stdout as an aligned table."""
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    dataset, net = _load_inputs(args)
+    dataset, net = _load_dataset(args), load(args.model)
     seeds = range(args.seeds)
     reports = [report for _, report in prune_runs(
         net, [replace(cfg, seed=seed, finetune_epochs=0) for _, cfg in rows for seed in seeds],
@@ -135,9 +124,7 @@ def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[st
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     rng = np.random.default_rng(args.seed)
-    c, h, w = dataset.image_shape
-    if h != w:
-        raise DataError("reference architecture expects square images")
+    c, h, _ = dataset.image_shape
     net = Network.initialize(reference_specs(c, h, dataset.num_classes),
                              dataset.image_shape, dataset.num_classes, rng)
     log = train_baseline(net, dataset, args.epochs, eta=args.eta,
@@ -150,7 +137,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    dataset, net = _load_inputs(args)
+    dataset, net = _load_dataset(args), load(args.model)
     cfg = _prune_config(args)
     final, report = prune_model(net, cfg, dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -166,7 +153,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset, net = _load_inputs(args)
+    dataset, net = _load_dataset(args), load(args.model)
     err = metrics.evaluate(net, dataset, split=args.split)
     print(f"{args.split}_error={err:.4f}")
     return 0
@@ -182,10 +169,12 @@ def cmd_ablation(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     base = _prune_config(args)
+    try:
+        rates = [float(r) for r in args.rates.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--rates: {exc}") from None
     return _masked_table(args, "rate_sweep", "rate",
-                         [(rate, replace(base, rate=rate))
-                          for rate in (float(r) for r in args.rates.split(","))],
-                         ["test_error"])
+                         [(rate, replace(base, rate=rate)) for rate in rates], ["test_error"])
 
 
 def cmd_check_grad(args) -> int:

@@ -57,6 +57,12 @@ class PruneConfig:
         unknown = self.enabled_losses - set(LOSS_KEYS)
         if unknown:
             raise ValueError(f"enabled_losses: unknown loss keys {sorted(unknown)}")
+        on, w = self.enabled_losses, self.weights
+        if not ("r" in on or ("s" in on and w.alpha) or ("c" in on and w.beta)):
+            # every sensitivity would be 0 and each layer would keep channels 0..K-1
+            raise ValueError(f"every enabled loss term has zero weight: losses "
+                             f"{','.join(k for k in LOSS_KEYS if k in on)}, "
+                             f"alpha {w.alpha}, beta {w.beta}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"pruning rate must be in (0,1), got {self.rate}")
         if not 0.0 <= self.eta < math.inf:

@@ -1,15 +1,21 @@
+import contextlib
 import csv
 import hashlib
 import inspect
+import io
 import json
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prunekit as pk
-from prunekit.cli import _prune_config, build_parser, main, read_config
+from prunekit.cli import _PRUNE_FLAGS, _prune_config, build_parser, main, read_config
 from prunekit.pruner import PruneConfig, train_baseline
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
@@ -131,6 +137,9 @@ class TestPrune:
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["prune", "--model", "m", "--out", "o"])
         assert _prune_config(args) == PruneConfig(rate=0.3)
+        # a new PruneConfig field needs a flag
+        assert ({f.name for f in fields(PruneConfig)}
+                == {"rate", "weights", "enabled_losses", *_PRUNE_FLAGS})
 
     def test_reference_default_configuration(self, model_path, tmp_path):
         rc = main(["prune", "--model", str(model_path), "--out", str(tmp_path),
@@ -183,6 +192,21 @@ class TestPrune:
         assert err.startswith("error:") and value in err and "\n" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,argv", [
+        ("prune", ["--losses", "s", "--alpha", "0"]), ("prune", ["--losses", "c", "--beta", "0"]),
+        ("ablation", ["--alpha", "0", "--beta", "0"])])
+    def test_zero_weight_loss_set_single_line_error(self, model_path, tmp_path, capsys,
+                                                    command, argv):
+        # each once exited 0 with all-zero sensitivities and channels 0..K-1 kept
+        out = tmp_path / "out"
+        rc = main([command, "--model", str(model_path), "--out", str(out),
+                   *FAST_DATA, *FAST_PRUNE, *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error: every enabled loss term has zero weight") and "\n" not in err
+        assert captured.out == "" and not out.exists()
+
     def test_overflow_gives_one_error_line_and_no_warning(self, model_path, tmp_path,
                                                           capsys):
         # numpy overflow warnings once preceded the error line, and the
@@ -231,6 +255,17 @@ class TestTables:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "--seeds" in err and "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rates,bad", [("0.3,abc", "'abc'"), ("0.3,,0.5", "''")])
+    def test_unparsable_rate_names_the_flag(self, model_path, tmp_path, capsys, rates, bad):
+        # the error once read "could not convert string to float", naming no flag
+        out = tmp_path / "out"
+        rc = main(["rate-sweep", "--model", str(model_path), "--out", str(out),
+                   "--rates", rates, *FAST_DATA, *FAST_PRUNE])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: --rates: could not convert string to float: {bad}\n")
         assert not out.exists()
 
     def test_check_grad_zero_seeds_single_line_error(self, capsys):
@@ -290,6 +325,52 @@ class TestTables:
         err = captured.err.strip()
         assert err.startswith("error:") and "not a prunekit report" in err and "\n" not in err
         assert captured.out == ""
+
+
+# well-typed values, valid and invalid; argparse's own errors (exit 2) are
+# covered by test_unknown_flag_nonzero_exit
+DATA_DRAWS = [("--classes", v) for v in ("3", "4")] + [("--image-size", v) for v in ("8", "12")]
+PRUNE_DRAWS = DATA_DRAWS + [
+    *(("--rate", v) for v in ("0.5", "0", "1", "-0.5", "nan")),
+    *(("--losses", v) for v in ("r", "s,c", "", "x")),
+    *(("--alpha", v) for v in ("0", "inf")), *(("--beta", v) for v in ("0", "nan")),
+    *(("--batch-size", v) for v in ("8", "0", "1000")), *(("--seed", v) for v in ("0", "-1"))]
+TABLE_DRAWS = PRUNE_DRAWS + [("--seeds", v) for v in ("1", "0")]
+DRAWS = {
+    "prune": PRUNE_DRAWS, "eval": DATA_DRAWS + [("--split", "train")],
+    "ablation": TABLE_DRAWS,
+    "rate-sweep": TABLE_DRAWS + [("--rates", v) for v in ("0.3,0.6", "0.3,abc", "", "1.5")]}
+OUTPUTS = {"prune": ["pruned.prnk", "report.json", "layer_0_losses.csv"], "eval": [],
+                    "ablation": ["ablation.csv", "ablation.txt"],
+                    "rate-sweep": ["rate_sweep.csv", "rate_sweep.txt"]}
+
+
+class TestContract:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(DRAWS)).flatmap(lambda command: st.tuples(
+        st.just(command),
+        st.lists(st.sampled_from(DRAWS[command]), max_size=4,
+                 unique_by=lambda pair: pair[0]))))
+    def test_exit_zero_with_outputs_or_one_error_line(self, model_path, run):
+        command, flags = run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            argv = [command, "--model", str(model_path), *FAST_DATA]
+            if command != "eval":
+                argv += ["--out", str(out), "--selection-batches", "1", "--refit-epochs", "1"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                rc = main(argv + [part for pair in flags for part in pair])
+            if rc == 0:
+                assert stderr.getvalue() == "" and stdout.getvalue()
+                assert all((out / name).is_file() for name in OUTPUTS[command])
+            else:
+                assert rc == 1
+                err = stderr.getvalue()
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                assert stdout.getvalue() == "" and not out.exists()
 
 
 class TestCheckGrad:

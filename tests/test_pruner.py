@@ -7,7 +7,7 @@ import pytest
 import prunekit as pk
 from prunekit import pruner
 from prunekit.data import DataError, Dataset
-from prunekit.losses import correlation_loss, joint_loss, reconstruction_loss
+from prunekit.losses import LossWeights, correlation_loss, joint_loss, reconstruction_loss
 from prunekit.network import (ChannelMask, Network, apply_mask, conv, dense_layer,
                               flatten_layer, forward, materialize, relu_layer, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
@@ -233,6 +233,21 @@ class TestPruneModel:
     def test_bad_loss_set_rejected(self, losses, match):
         with pytest.raises(ValueError, match=match):
             PruneConfig(rate=0.5, enabled_losses=losses)
+
+    @pytest.mark.parametrize("losses,alpha,beta,named", [
+        ("s", 0.0, 1.0, "losses s, alpha 0.0, beta 1.0"),
+        ("c", 0.001, 0.0, "losses c, alpha 0.001, beta 0.0"),
+        ("sc", 0.0, 0.0, "losses s,c, alpha 0.0, beta 0.0")])
+    def test_all_zero_weight_loss_set_rejected(self, losses, alpha, beta, named):
+        # each once gave all-zero sensitivities, so every layer kept channels 0..K-1
+        with pytest.raises(ValueError, match=f"every enabled loss term has zero weight: {named}$"):
+            PruneConfig(rate=0.5, enabled_losses=losses, weights=LossWeights(alpha, beta))
+
+    @pytest.mark.parametrize("losses,alpha,beta", [("r", 0.0, 0.0), ("rs", 0.0, 1.0),
+                                                   ("sc", 0.0, 1.0), ("sc", 0.5, 0.0)])
+    def test_a_weighted_term_is_enough(self, losses, alpha, beta):
+        cfg = PruneConfig(rate=0.5, enabled_losses=losses, weights=LossWeights(alpha, beta))
+        assert cfg.enabled_losses == frozenset(losses)
 
     def test_overflowing_refit_is_divergence(self, trained_tiny, tiny_dataset):
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):

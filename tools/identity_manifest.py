@@ -4,13 +4,18 @@
 
 Trains a tiny 8x8 net and the 12x12 reference net, then prunes each under all
 seven loss sets at finetune_epochs 0 and 1. Each output (train log, model
-file, report.json, loss-curve CSV) gets one ``sha256  name`` line; the last
-line hashes those lines. Two checkouts whose manifest hashes agree produced
-byte-identical outputs. prunekit is imported from this checkout's src/, with
-one BLAS thread.
+file, report.json, loss-curve CSV) gets one ``sha256  name`` line, and a
+``library manifest`` line hashes those lines. Then the CLI runs train, prune,
+ablation, rate-sweep, report and eval on 8x8 data; every file they write and
+each command's stdout (with the temporary directory replaced by a fixed name)
+get one line each. The last line hashes all lines. Two checkouts whose
+manifest hashes agree produced byte-identical outputs. prunekit is imported
+from this checkout's src/, with one BLAS thread.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -23,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 import prunekit as pk  # noqa: E402
+from prunekit.cli import main as cli_main  # noqa: E402
 from prunekit.metrics import ABLATION_COMBOS, loss_combo_label  # noqa: E402
 from prunekit.network import conv, dense_layer, flatten_layer, maxpool, relu_layer  # noqa: E402
 
@@ -31,6 +37,37 @@ NETS = {  # name -> (specs, image size)
               flatten_layer(), dense_layer(8 * 4 * 4, 3)], 8),
     "ref": (pk.reference_specs(3, 12, 3), 12),
 }
+CLI_DATA = ["--classes", "3", "--per-class", "16", "--image-size", "8"]
+CLI_PRUNE = [*CLI_DATA, "--rate", "0.5", "--selection-batches", "2", "--refit-epochs", "2",
+             "--batch-size", "16"]
+
+
+def run_cli(tmp, digest) -> None:
+    """Run each subcommand through the CLI in ``tmp/cli``, then digest each
+    stdout and every file written."""
+    root = Path(tmp, "cli")
+    model, prune_out = str(root / "base.prnk"), root / "prune"
+    runs = [
+        ["train", "--model", model, "--epochs", "3", "--batch-size", "16", *CLI_DATA],
+        ["prune", "--model", model, "--out", str(prune_out), "--finetune-epochs", "1",
+         *CLI_PRUNE],
+        ["ablation", "--model", model, "--out", str(root / "ablation"), "--seeds", "2",
+         *CLI_PRUNE],
+        ["rate-sweep", "--model", model, "--out", str(root / "rate_sweep"),
+         "--rates", "0.3,0.6", *CLI_PRUNE],
+        ["report", "--report", str(prune_out / "report.json")],
+        ["eval", "--model", str(prune_out / "pruned.prnk"), *CLI_DATA],
+    ]
+    root.mkdir()
+    for argv in runs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli_main(argv)
+        if rc != 0:
+            sys.exit(f"prunekit {argv[0]} exited {rc}")
+        digest(f"cli/{argv[0]}.stdout", stdout.getvalue().replace(tmp, "TMP").encode())
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest(str(path.relative_to(tmp)), path.read_bytes())
 
 
 def main() -> None:
@@ -57,6 +94,9 @@ def main() -> None:
                     report.write_loss_curves(out)
                     for path in sorted(out.iterdir()):
                         digest(str(path.relative_to(tmp)), path.read_bytes())
+        lines.append(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  "
+                     "library manifest")
+        run_cli(tmp, digest)
     print("\n".join(lines))
     print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  manifest")
 
