@@ -78,13 +78,13 @@ def _add_prune_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
-def _prune_config(args) -> PruneConfig:
-    return PruneConfig(
-        rate=args.rate,
-        weights=LossWeights(args.alpha, args.beta),
-        enabled_losses=frozenset(p.strip() for p in args.losses.split(",") if p.strip()),
-        **{name: getattr(args, name) for name in _PRUNE_FLAGS},
-    )
+def _prune_config(args, **row) -> PruneConfig:
+    """The config the prune flags give, with ``row``'s fields in place of
+    theirs; ``PruneConfig`` checks only the values it gets."""
+    return PruneConfig(**{
+        "rate": args.rate, "weights": LossWeights(args.alpha, args.beta),
+        "enabled_losses": frozenset(p.strip() for p in args.losses.split(",") if p.strip()),
+        **{name: getattr(args, name) for name in _PRUNE_FLAGS}, **row})
 
 
 def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[str]) -> int:
@@ -160,21 +160,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    base = _prune_config(args)
     return _masked_table(args, "ablation", "losses",
-                         [(metrics.loss_combo_label(combo), replace(base, enabled_losses=combo))
+                         [(metrics.loss_combo_label(combo),
+                           _prune_config(args, enabled_losses=combo))
                           for combo in metrics.ABLATION_COMBOS],
                          ["train_error", "test_error"])
 
 
 def cmd_rate_sweep(args) -> int:
-    base = _prune_config(args)
     try:
         rates = [float(r) for r in args.rates.split(",")]
+        for rate in rates:
+            PruneConfig(rate)  # the rate check alone: every other field is a valid default
     except ValueError as exc:
         raise ValueError(f"--rates: {exc}") from None
     return _masked_table(args, "rate_sweep", "rate",
-                         [(rate, replace(base, rate=rate)) for rate in rates], ["test_error"])
+                         [(rate, _prune_config(args, rate=rate)) for rate in rates],
+                         ["test_error"])
 
 
 def cmd_check_grad(args) -> int:

@@ -12,8 +12,8 @@ as M channels by N = H*Z spatial positions per example:
 
 Batched inputs are averaged per example, then over the batch. Each loss,
 ``joint_loss`` included, records one tape node with its own backward rule:
-``joint_loss`` adds the enabled terms in r, s, c order and multiplies by alpha
-and beta only where they are not 1.0.
+``joint_loss`` adds the enabled terms, each times its weight (1.0 for r, alpha
+for s, beta for c), left to right in r, s, c order.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tenso
         if term is not None and not np.isfinite(term.data).all():
             raise DivergenceError(f"joint_loss: {name} is not finite")
 
-    terms, coefs, value = [], [], None
+    # -0.0 is the exact identity of + (0.0 + -0.0 is 0.0), and x * 1.0 is x
+    terms, coefs, value = [], [], -0.0
     for key, term, coef in (("r", l_r, 1.0), ("s", l_s, w.alpha), ("c", l_c, w.beta)):
         if key not in enabled:
             continue
         if term is None:
             raise ValueError(f"joint_loss: enabled term {key!r} was not provided")
-        part = term.item() if coef == 1.0 else term.item() * coef
-        value = part if value is None else value + part
+        value += term.item() * coef
         terms.append(term)
         coefs.append(coef)
     total = Tensor(value)

@@ -1,8 +1,9 @@
 """Small feedforward CNNs: definition, execution, masking, materialization, file I/O.
 
 A network is an ordered chain of layers (conv / relu / maxpool / flatten /
-dense) with a parameter store keyed by layer index. Channel masks zero whole
-output planes of a conv layer without touching its weights; ``shrink_layer``
+dense) with a parameter store keyed by layer index. A channel mask zeroes the
+kernel rows and biases of the conv channels it drops, so their output planes
+are exactly zero, and the network records it in ``masks``; ``shrink_layer``
 removes one layer's channels for real with the next layer's input slice, and
 ``materialize`` every layer's. The on-disk format is documented in docs/format.md.
 """
@@ -96,8 +97,9 @@ class ChannelMask:
 
 
 class Network:
-    """Ordered layer chain with named parameters and optional channel masks. Its
-    per-layer output shapes are derived once, at construction, from ``specs``, a tuple.
+    """Ordered layer chain with named parameters and ``masks``: for each conv
+    layer that ``apply_mask`` masked, the rows still kept. Its per-layer output
+    shapes are derived once, at construction, from ``specs``, a tuple.
     ``trained``, the model file's one flag bit, marks a net fit to be a pruning baseline."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_shape: tuple, num_classes: int,
@@ -187,7 +189,7 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
     ``x`` is what enters layer ``start``: a [B,C,H,W] image batch for the
     default 0, otherwise the batched output of layer ``start - 1``. Returns the
     logits, or the output of layer ``upto_layer`` when given; for a conv layer
-    that is the (masked) feature map right after the convolution. A caller
+    that is the feature map right after the convolution. A caller
     that needs a conv layer's map and the logits runs ``upto_layer=l``, then
     ``start=l + 1`` from that map. ``x`` is checked against the shape table built at construction.
     """
@@ -207,9 +209,6 @@ def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
         if spec.kind == "conv":
             p = net.params[idx]
             h = T.conv2d(h, p["w"], stride=spec.stride, pad=spec.pad, bias=p["b"], tape=tape)
-            mask = net.masks.get(idx)
-            if mask is not None and not mask.all():
-                h = T.mul(h, Tensor(mask.astype(np.float64).reshape(1, -1, 1, 1)), tape)
         elif spec.kind == "relu":
             h = T.relu(h, tape)
         elif spec.kind == "maxpool":
@@ -238,16 +237,21 @@ def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
 
 
 def apply_mask(net: Network, mask: ChannelMask) -> Network:
-    """Logically zero the masked output channels of one conv layer.
-
-    Parameters are shared with ``net``; only the mask table is copied.
+    """Zero the ``w`` and ``b`` rows of conv layer ``mask.layer`` that ``mask``
+    drops, so the layer's output planes there are exactly zero, and record in
+    ``masks`` the rows still kept: a row an earlier mask dropped stays dropped.
+    The layer's parameters are new; every other layer's are shared with ``net``.
     """
     _check_mask_fits(net, mask)
-    out = Network(net.specs, net.input_shape, net.num_classes,
-                  params=net.params, masks={k: v.copy() for k, v in net.masks.items()},
-                  trained=net.trained)
-    out.masks[mask.layer] = mask.keep.copy()
-    return out
+    l = mask.layer
+    keep = mask.keep & net.masks.get(l, True)
+    if not keep.any():
+        raise ShapeError(f"mask for layer {l} removes every channel its earlier mask kept")
+    params = dict(net.params)
+    params[l] = {k: Tensor(np.where(keep.reshape(-1, *(1,) * (t.data.ndim - 1)), t.data, 0.0),
+                           requires_grad=t.requires_grad) for k, t in params[l].items()}
+    return Network(net.specs, net.input_shape, net.num_classes, params=params,
+                   masks={**net.masks, l: keep}, trained=net.trained)
 
 
 def _check_mask_fits(net: Network, mask: ChannelMask) -> None:
@@ -322,10 +326,6 @@ class _Reader:
 
 
 def save(net: Network, path) -> None:
-    for l, keep in sorted(net.masks.items()):
-        if not keep.all():
-            raise ValueError(f"save: the mask of layer {l} drops channels, which a model "
-                             f"file cannot hold; materialize the network first")
     body = _MAGIC + struct.pack("<H", _FORMAT_VERSION)
     body += struct.pack("<B", 1 if net.trained else 0)
     body += struct.pack("<I", net.num_classes)

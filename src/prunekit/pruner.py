@@ -265,14 +265,14 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
 
 def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
-    """Plain SGD on every row of one conv layer that has a mask entry; the
-    baseline and every other layer stay frozen. In ``prune_runs`` the layer is
-    already shrunk, so its mask keeps every row; on a masked net the mask
-    multiply in ``forward`` gives masked rows an exactly zero gradient, so they
-    stay put. Each epoch shuffles as ``Dataset.iter_batches`` does. Returns the
-    per-epoch loss curve."""
+    """Plain SGD on the rows of one conv layer that its mask entry keeps; the
+    dropped rows, which ``apply_mask`` zeroed, and the baseline and every other
+    layer stay put. In ``prune_runs`` the layer is already shrunk, so its mask
+    keeps every row. Each epoch shuffles as ``Dataset.iter_batches`` does.
+    Returns the per-epoch loss curve."""
     if layer not in net_pruned.masks:
         raise PruneError(f"refit_layer: layer {layer} has no mask applied")
+    keep = net_pruned.masks[layer]
     params = net_pruned.params[layer].values()
 
     history: list[LossBreakdown] = []
@@ -285,7 +285,7 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 total, bd = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
                 backward(total, tape)
                 for t in params:
-                    t.data -= cfg.eta * t.grad
+                    t.data[keep] -= cfg.eta * t.grad[keep]
                     t.zero_grad()
                 sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
                 batches += 1

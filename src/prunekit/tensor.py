@@ -29,8 +29,8 @@ backward, ``gw`` is ``g @ cols.T`` and reads ``cols``; ``gx`` is
 op is recorded, and is freed before the op returns otherwise.
 
 Layout rule: every op keeps the ``[B,C,H,W]`` shape contract, but ``data`` may
-be a strided view. ``conv2d`` returns batch-innermost data; ``relu``, ``mul``,
-``max_pool2d`` and so ``network.forward`` keep their input's memory order; only
+be a strided view. ``conv2d`` returns batch-innermost data; ``relu`` and
+``max_pool2d``, and so ``network.forward``, keep their input's memory order; only
 ``reshape`` (so ``flatten``, for ``dense``) and the map losses copy to row-major.
 """
 
@@ -155,26 +155,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Elementwise product; shapes must match or ``b`` must broadcast to ``a``."""
-    try:
-        out_data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    if out_data.shape != a.data.shape:
-        raise ShapeError(f"mul: broadcast result {out_data.shape} exceeds {a.shape}")
-    out = Tensor(out_data)
+    """Elementwise product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    out = Tensor(a.data * b.data)
     if tape is not None:
-        def bw(g):
-            ga = g * b.data if a.requires_grad else None
-            gb = None
-            if b.requires_grad:
-                gb = g * a.data
-                if gb.shape != b.data.shape:
-                    axes = tuple(i for i, (db, dg) in enumerate(zip(b.data.shape, gb.shape))
-                                 if db != dg)
-                    gb = gb.sum(axis=axes, keepdims=True)
-            return ga, gb
-        tape.record(out, (a, b), bw)
+        tape.record(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
+                                             g * a.data if b.requires_grad else None))
     return out
 
 

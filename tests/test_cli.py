@@ -268,6 +268,35 @@ class TestTables:
                 == f"error: --rates: could not convert string to float: {bad}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--rates", "0.3,1.5"], "error: --rates: pruning rate must be in (0,1), got 1.5\n"),
+        (["--rates", "0.3", "--eta", "-1"],
+         "error: learning rate must be finite and >= 0, got -1.0\n")], ids=["rates", "eta"])
+    def test_rate_errors_name_the_flag_and_flag_errors_do_not(self, model_path, tmp_path,
+                                                             capsys, argv, err):
+        # --rates 1.5 once failed naming no flag
+        out = tmp_path / "out"
+        rc = main(["rate-sweep", "--model", str(model_path), "--out", str(out),
+                   *argv, *FAST_DATA, *FAST_PRUNE])
+        assert rc == 1 and capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name,rows,unread", [
+        ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--rate", "0"]),
+        ("ablation", "ablation", [], ["--losses", "x"])], ids=["rate-sweep", "ablation"])
+    def test_flag_that_every_row_replaces_is_not_read(self, model_path, tmp_path, command,
+                                                      name, rows, unread):
+        # rate-sweep --rate 0 and ablation --losses x once exited 1 with the
+        # error of a value that no row uses
+        tables = []
+        for run, extra in enumerate(([], unread)):
+            out = tmp_path / str(run)
+            rc = main([command, "--model", str(model_path), "--out", str(out), *rows, *extra,
+                       *FAST_DATA, *FAST_PRUNE])
+            assert rc == 0
+            tables.append((out / f"{name}.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_check_grad_zero_seeds_single_line_error(self, capsys):
         # --seeds 0 once checked nothing and printed PASS for every case
         rc = main(["check-grad", "--seeds", "0"])

@@ -130,6 +130,32 @@ class TestApplyMask:
         masked = apply_mask(trained_tiny, ChannelMask(0, np.array([True] + [False] * 3)))
         assert pk.count_params(masked) == pk.count_params(trained_tiny)
 
+    def test_dropped_rows_are_zero_and_the_input_net_unchanged(self, trained_tiny):
+        before = [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()]
+        keep = np.array([True, False, True, True, False, True])
+        masked = apply_mask(trained_tiny, ChannelMask(2, keep))
+        for name, t in masked.params[2].items():
+            old = trained_tiny.params[2][name].data
+            assert t is not trained_tiny.params[2][name]
+            assert np.array_equal(t.data[keep], old[keep]) and not t.data[~keep].any(), name
+        assert all(masked.params[i] is trained_tiny.params[i] for i in (0, 6))
+        np.testing.assert_array_equal(masked.masks[2], keep)
+        assert trained_tiny.masks == {}
+        assert [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()] == before
+
+    def test_second_mask_cannot_revive_dropped_rows(self, trained_tiny):
+        first = apply_mask(trained_tiny, ChannelMask(0, np.array([True, False, True, True])))
+        second = apply_mask(first, ChannelMask(0, np.array([False, True, True, False])))
+        np.testing.assert_array_equal(second.masks[0], [False, False, True, False])
+        assert not second.params[0]["w"].data[[0, 1, 3]].any()
+        np.testing.assert_array_equal(second.params[0]["w"].data[2],
+                                      trained_tiny.params[0]["w"].data[2])
+
+    def test_second_mask_that_leaves_no_row_rejected(self, trained_tiny):
+        first = apply_mask(trained_tiny, ChannelMask(0, np.array([True, False, False, False])))
+        with pytest.raises(ShapeError, match="layer 0 removes every channel"):
+            apply_mask(first, ChannelMask(0, np.array([False, True, True, True])))
+
 
 class TestMaterialize:
     def test_all_true_masks_identity(self, trained_tiny, tiny_dataset, rng):
@@ -197,10 +223,11 @@ class TestShrinkLayer:
     def test_mask_entry_keeps_its_retained_part(self, trained_tiny):
         mask = ChannelMask(2, np.array([True, False, True, True, False, True]))
         other = ChannelMask(0, np.array([True, False, True, True]))
-        out = shrink_layer(apply_mask(apply_mask(trained_tiny, other), mask), mask)
+        masked = apply_mask(apply_mask(trained_tiny, other), mask)
+        out = shrink_layer(masked, mask)
         np.testing.assert_array_equal(out.masks[2], np.ones(4, dtype=bool))
         np.testing.assert_array_equal(out.masks[0], other.keep)
-        assert out.params[0] is trained_tiny.params[0]
+        assert out.params[0] is masked.params[0]
 
     def test_equals_masked_forward(self, trained_tiny, tiny_dataset, rng):
         mask = ChannelMask(0, np.array([False, True, True, False]))
@@ -317,16 +344,17 @@ class TestSerialization:
         with pytest.raises(FormatError, match=match):
             load(path)
 
-    def test_mask_that_drops_channels_is_refused(self, trained_tiny, tmp_path):
-        # the file holds no masks: a masked net once loaded back unmasked
+    def test_masked_net_round_trips_with_equal_logits(self, trained_tiny, tiny_dataset,
+                                                      tmp_path, rng):
+        # the file holds no masks, only the zeroed rows that stand for them
         path = tmp_path / "m.prnk"
-        keep = np.ones(6, dtype=bool)
-        save(apply_mask(trained_tiny, ChannelMask(2, keep)), path)
-        assert load(path).trained
-        keep[3] = False
-        with pytest.raises(ValueError, match="layer 2.*materialize"):
-            save(apply_mask(trained_tiny, ChannelMask(2, keep)), tmp_path / "masked.prnk")
-        assert [p.name for p in tmp_path.iterdir()] == ["m.prnk"]
+        keep = np.array([True, True, True, False, True, False])
+        masked = apply_mask(trained_tiny, ChannelMask(2, keep))
+        save(masked, path)
+        back = load(path)
+        assert back.trained and back.masks == {}
+        xb, _ = tiny_dataset.sample_batch("test", 8, rng)
+        np.testing.assert_array_equal(forward(back, xb).data, forward(masked, xb).data)
 
     def test_logits_survive_round_trip(self, trained_tiny, tiny_dataset, tmp_path, rng):
         path = tmp_path / "m.prnk"

@@ -569,8 +569,8 @@ class TestLayerLocalGradients:
 
     @pytest.mark.parametrize("losses", ["rsc", "r", "c"])
     def test_refit_moves_only_kept_rows(self, trained_tiny, tiny_dataset, losses):
-        # the mask multiply in forward gives masked rows an exactly zero
-        # gradient, so a whole-layer update leaves them where they were
+        # dropped rows are zero but get a nonzero gradient: only the update's
+        # row selection by the layer's mask entry keeps them where they were
         cfg = small_cfg(enabled_losses=frozenset(losses), refit_epochs=2)
         keep = np.array([True, False, True, True, False, True])
         pruned = apply_mask(_masked_at_zero(trained_tiny), ChannelMask(2, keep))

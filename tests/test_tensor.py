@@ -241,6 +241,14 @@ class TestSimpleOps:
         got = dense(Tensor(x), Tensor(w), Tensor(b)).data
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
+    @pytest.mark.parametrize("shapes", [[(2, 3, 4, 4), (1, 3, 1, 1)], [(3,), ()],
+                                        [(2, 3), (3, 2)]])
+    def test_mul_rejects_differing_shapes(self, shapes):
+        # mul once broadcast its second operand for the channel-mask multiply
+        a, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError, match="differ"):
+            mul(a, b, Tape())
+
     def test_max_pool(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = max_pool2d(x, 2, 2)
@@ -406,7 +414,7 @@ NEED_DRIVEN_CASES = {
                             lambda t, tape: conv2d(t[0], t[1], stride=3, pad=2, bias=t[2],
                                                    tape=tape)),
     "dense": ([(4, 6), (6, 3), (3,)], lambda t, tape: dense(t[0], t[1], t[2], tape)),
-    "mul_broadcast": ([(2, 3, 4, 4), (1, 3, 1, 1)], lambda t, tape: mul(t[0], t[1], tape)),
+    "mul_maps": ([(2, 3, 4, 4), (2, 3, 4, 4)], lambda t, tape: mul(t[0], t[1], tape)),
     "mul_same_shape": ([(3, 5), (3, 5)], lambda t, tape: mul(t[0], t[1], tape)),
     "reconstruction_loss": ([(2, 3, 4, 4), (2, 3, 4, 4)],
                             lambda t, tape: reconstruction_loss(t[0], t[1], tape)),

@@ -8,7 +8,11 @@ file, report.json, loss-curve CSV) gets one ``sha256  name`` line, and a
 ``library manifest`` line hashes those lines. Then the CLI runs train, prune,
 ablation, rate-sweep, report and eval on 8x8 data; every file they write and
 each command's stdout (with the temporary directory replaced by a fixed name)
-get one line each. The last line hashes all lines. Two checkouts whose
+get one line each. The masked path, which the sweep never takes, follows on
+the 12x12 reference net: the logits of a few seeded random mask patterns (as
+acceptance criterion 3 draws them), and one layer scored, masked and refit on a
+net with its first conv layer masked (sensitivities, kept rows, loss curve).
+The last line hashes all lines. Two checkouts whose
 manifest hashes agree produced byte-identical outputs. prunekit is imported
 from this checkout's src/, with one BLAS thread.
 """
@@ -30,7 +34,10 @@ import numpy as np  # noqa: E402
 import prunekit as pk  # noqa: E402
 from prunekit.cli import main as cli_main  # noqa: E402
 from prunekit.metrics import ABLATION_COMBOS, loss_combo_label  # noqa: E402
-from prunekit.network import conv, dense_layer, flatten_layer, maxpool, relu_layer  # noqa: E402
+from prunekit.network import (ChannelMask, apply_mask, conv, dense_layer,  # noqa: E402
+                              flatten_layer, forward, maxpool, relu_layer)
+from prunekit.pruner import (budget_for, frozen_activations, refit_layer,  # noqa: E402
+                             score_layer, select_channels)
 
 NETS = {  # name -> (specs, image size)
     "tiny": ([conv(3, 4), relu_layer(), maxpool(), conv(4, 8), relu_layer(),
@@ -70,15 +77,47 @@ def run_cli(tmp, digest) -> None:
         digest(str(path.relative_to(tmp)), path.read_bytes())
 
 
+def run_masked(net, dataset, digest) -> None:
+    """Digest the masked-net logits of seeded mask patterns, then one masked
+    score, selection and refit of conv layer 3 of ``net``."""
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        masked = net
+        for l in net.conv_layers():
+            m = net.specs[l].out_channels
+            keep = r.random(m) < 0.6
+            if not keep.any():
+                keep[int(r.integers(0, m))] = True
+            masked = apply_mask(masked, ChannelMask(l, keep))
+        xb, _ = dataset.sample_batch("test", 8, r)
+        digest(f"masked/pattern_{seed}.logits", forward(masked, xb).data.tobytes())
+
+    cfg = pk.PruneConfig(rate=0.5, selection_batches=2, refit_epochs=2, batch_size=16)
+    rng = np.random.default_rng(0)
+    pruned = apply_mask(net.copy(), ChannelMask(0, np.arange(16) % 3 != 1))
+    acts = frozen_activations(net, pruned, 3, cfg, dataset)
+    delta = score_layer(pruned, 3, cfg, acts, rng)
+    sel = select_channels(delta, budget_for(len(delta), cfg.rate))
+    keep = np.isin(np.arange(len(delta)), sel.retained)
+    pruned = apply_mask(pruned, ChannelMask(3, keep))
+    curve = refit_layer(pruned, 3, cfg, acts, rng)
+    digest("masked/refit_l3.sensitivities", delta.tobytes())
+    for name, t in sorted(pruned.params[3].items()):
+        digest(f"masked/refit_l3.{name}_kept", t.data[keep].tobytes())
+    digest("masked/refit_l3.curve", repr([vars(bd) for bd in curve]).encode())
+
+
 def main() -> None:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         def digest(name, data):
             lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
+        trained = {}
         for net_name, (specs, size) in NETS.items():
             dataset = pk.synth_dataset(3, 16, image_size=size, seed=0)
             net = pk.Network.initialize(specs, dataset.image_shape, 3, np.random.default_rng(0))
+            trained[net_name] = net, dataset
             digest(f"{net_name}/train_log.json",
                    json.dumps(pk.train_baseline(net, dataset, 3, batch_size=16)).encode())
             for combo in ABLATION_COMBOS:
@@ -97,6 +136,7 @@ def main() -> None:
         lines.append(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  "
                      "library manifest")
         run_cli(tmp, digest)
+        run_masked(*trained["ref"], digest)
     print("\n".join(lines))
     print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  manifest")
 
