@@ -65,9 +65,8 @@ class Dataset:
         return Tensor(imgs[idx]), labels[idx]
 
     def iter_batches(self, name: str, batch_size: int,
-                     rng: Optional[np.random.Generator] = None
-                     ) -> Iterator[tuple[Tensor, np.ndarray]]:
-        """One pass over the split; shuffled when an rng is supplied."""
+                     rng: np.random.Generator) -> Iterator[tuple[Tensor, np.ndarray]]:
+        """One pass over the split in an order shuffled by ``rng``."""
         imgs, labels = self.normalized(name)
         for idx in epoch_indices(len(imgs), batch_size, rng):
             yield Tensor(imgs[idx]), labels[idx]
@@ -82,11 +81,9 @@ def sample_indices(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
     return rng.integers(0, n, size=min(batch_size, n))
 
 
-def epoch_indices(n: int, batch_size: int,
-                  rng: Optional[np.random.Generator] = None) -> Iterator[np.ndarray]:
-    """Index batches of one pass over ``n`` examples; shuffled when an rng is
-    supplied."""
-    order = rng.permutation(n) if rng is not None else np.arange(n)
+def epoch_indices(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Index batches of one pass over ``n`` examples in an order shuffled by ``rng``."""
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -358,14 +358,12 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                                        finetune_log[-1]["test_error"])
         pruned.trained = True
 
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        weights, losses = config.pop("weights"), config.pop("enabled_losses")
+        config.update(alpha=weights.alpha, beta=weights.beta,
+                      losses="".join(k for k in LOSS_KEYS if k in losses))
         yield pruned, PruneReport(
-            config={
-                "rate": cfg.rate, "alpha": cfg.weights.alpha, "beta": cfg.weights.beta,
-                "eta": cfg.eta, "selection_batches": cfg.selection_batches,
-                "refit_epochs": cfg.refit_epochs, "finetune_epochs": cfg.finetune_epochs,
-                "losses": "".join(k for k in "rsc" if k in cfg.enabled_losses),
-                "seed": cfg.seed, "batch_size": cfg.batch_size,
-            },
+            config=config,
             baseline_train_error=baseline[0],
             baseline_test_error=baseline[1],
             masked_train_error=masked_train,

@@ -31,7 +31,7 @@ op is recorded, and is freed before the op returns otherwise.
 Layout rule: every op keeps the ``[B,C,H,W]`` shape contract, but ``data`` may
 be a strided view. ``conv2d`` returns batch-innermost data; ``relu`` and
 ``max_pool2d``, and so ``network.forward``, keep their input's memory order; only
-``reshape`` (so ``flatten``, for ``dense``) and the map losses copy to row-major.
+``flatten`` (for ``dense``) and the map losses copy to row-major.
 """
 
 from __future__ import annotations
@@ -148,36 +148,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
             grads[tid] = grads[tid] + gi if tid in grads else gi
     for tid, t in leaves.items():
         t.accumulate_grad(grads[tid])
-
-
-# ---------------------------------------------------------------------------
-# elementwise / reduction primitives
-
-
-def mul(a: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    """Elementwise product of two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
-                                             g * a.data if b.requires_grad else None))
-    return out
-
-
-def sum_all(a: Tensor, tape: Optional[Tape] = None) -> Tensor:
-    out = Tensor(a.data.sum())
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy() if a.shape else g,))
-    return out
-
-
-def reshape(a: Tensor, shape: Sequence[int], tape: Optional[Tape] = None) -> Tensor:
-    """``a`` in ``shape``, row-major whatever the memory order of ``a``."""
-    out = Tensor(np.ascontiguousarray(a.data.reshape(shape)))
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g.reshape(a.shape),))
-    return out
 
 
 def scatter_channels(x: Tensor, positions: Sequence[int], channels: int,
@@ -312,7 +282,10 @@ def flatten(x: Tensor, tape: Optional[Tape] = None) -> Tensor:
     """Collapse every non-batch dimension, row-major."""
     if x.data.ndim < 2:
         raise ShapeError(f"flatten: input must have a batch dimension, got {x.shape}")
-    return reshape(x, (x.shape[0], -1), tape)
+    out = Tensor(np.ascontiguousarray(x.data.reshape(x.shape[0], -1)))
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (g.reshape(x.shape),))
+    return out
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape] = None) -> Tensor:

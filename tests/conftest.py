@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import prunekit as pk
+from prunekit import tensor as T
 
 
 @pytest.fixture
@@ -17,6 +18,24 @@ def tiny_specs(num_classes=3):
         pk.network.maxpool(),
         pk.network.flatten_layer(), pk.network.dense_layer(6 * 4 * 4, num_classes),
     ]
+
+
+def break_rule(monkeypatch, op, wrong):
+    """Replace ``tensor.<op>``, called with its tape last as the suite calls it,
+    by one whose backward rule returns ``wrong(gi)`` for each input gradient
+    ``gi`` of the original rule."""
+    original = getattr(T, op)
+
+    def broken(*args):
+        out = original(*args)
+        if args[-1] is not None:
+            node = args[-1].nodes[-1]
+            rule = node.backward_fn
+            node.backward_fn = lambda g: tuple(None if gi is None else wrong(gi)
+                                               for gi in rule(g))
+        return out
+
+    monkeypatch.setattr(T, op, broken)
 
 
 @pytest.fixture

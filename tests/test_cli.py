@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import prunekit as pk
 from prunekit.cli import _PRUNE_FLAGS, _prune_config, build_parser, main, read_config
 from prunekit.pruner import PruneConfig, train_baseline
+from tests.conftest import break_rule
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
 FAST_PRUNE = ["--selection-batches", "2", "--refit-epochs", "1", "--batch-size", "16"]
@@ -408,6 +409,14 @@ class TestCheckGrad:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS conv2d" in out and "FAIL" not in out
+
+    def test_failing_case_prints_its_error_and_exits_one(self, monkeypatch, capsys):
+        break_rule(monkeypatch, "relu", lambda gi: 1.5 * gi)
+        rc = main(["check-grad", "--seeds", "1"])
+        assert rc == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == [f"FAIL {'relu':<24} max_rel_err={1 / 3:.3e}"]
 
 
 class TestConfigFile:

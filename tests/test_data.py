@@ -143,10 +143,20 @@ class TestCifar10:
 
 class TestDatasetContainer:
     def test_batches_cover_split_deterministically(self, tiny_dataset):
-        seen = []
-        for xb, yb in tiny_dataset.iter_batches("train", 32):
-            seen.append(len(yb))
-        assert sum(seen) == len(tiny_dataset.train_labels)
+        imgs, labels = tiny_dataset.normalized("train")
+        index = {img.tobytes(): i for i, img in enumerate(imgs)}
+        assert len(index) == len(imgs)
+
+        def order(seed):
+            seen = []
+            for xb, yb in tiny_dataset.iter_batches("train", 32, np.random.default_rng(seed)):
+                seen += [index[img.tobytes()] for img in xb.data]
+                np.testing.assert_array_equal(yb, labels[seen[-len(yb):]])
+            return seen
+
+        seen = order(0)
+        assert sorted(seen) == list(range(len(imgs)))  # each example exactly once
+        assert order(0) == seen
 
     def test_sample_batch_is_normalized(self, tiny_dataset, rng):
         xb, _ = tiny_dataset.sample_batch("train", 64, rng)

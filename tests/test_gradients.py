@@ -7,7 +7,8 @@ few seeds so a broken gradient is pinned to its operation quickly.
 import numpy as np
 import pytest
 
-from prunekit.gradcheck import check_gradients, suite_cases
+from prunekit.gradcheck import check_gradients, run_suite, suite_cases
+from tests.conftest import break_rule
 
 CASES = sorted(suite_cases().items())
 
@@ -49,3 +50,15 @@ def test_numerical_grad_perturbs_a_strided_view_in_place():
     grad = numerical_grad(lambda: float((weights * x.data ** 2).sum()), x)
     np.testing.assert_allclose(grad, 2 * weights * x.data, rtol=1e-8)
     np.testing.assert_array_equal(x.data, np.arange(24.0).reshape(4, 6).T)
+
+
+@pytest.mark.parametrize("op,wrong,expect", [
+    ("relu", lambda gi: 1.5 * gi, pytest.approx(1 / 3, rel=1e-6)),
+    ("dense", lambda gi: np.full_like(gi, np.nan), np.inf),
+], ids=["relu_too_steep", "dense_nan"])
+def test_run_suite_reports_the_error_it_failed_on(monkeypatch, op, wrong, expect):
+    # a failing seed once never reached the reported worst, and NaN was dropped
+    break_rule(monkeypatch, op, wrong)
+    results = {name: (worst, ok) for name, worst, ok in run_suite(n_seeds=1)}
+    assert results.pop(op) == (expect, False)
+    assert all(ok for _, ok in results.values())

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -212,6 +212,18 @@ class TestPruneModel:
         assert (tmp_path / "layer_0_losses.csv").exists()
         header = (tmp_path / "layer_0_losses.csv").read_text().splitlines()[0]
         assert header == "epoch,l_r,l_s,l_c,total"
+
+    def test_every_config_field_is_recorded(self, trained_tiny, tiny_dataset):
+        cfg = small_cfg(rate=0.4, weights=LossWeights(0.25, 0.75), eta=0.02,
+                        finetune_epochs=1, enabled_losses="sr", seed=2)
+        _, report = prune_model(trained_tiny, cfg, tiny_dataset)
+        assert report.config == {"rate": 0.4, "alpha": 0.25, "beta": 0.75, "eta": 0.02,
+                                 "selection_batches": 2, "refit_epochs": 1,
+                                 "finetune_epochs": 1, "losses": "rs", "seed": 2,
+                                 "batch_size": 16}
+        # a new PruneConfig field is recorded under its own name
+        assert ({f.name for f in fields(PruneConfig)} - {"weights", "enabled_losses"}
+                == set(report.config) - {"alpha", "beta", "losses"})
 
     def test_rate_validation(self):
         with pytest.raises(ValueError, match="rate"):

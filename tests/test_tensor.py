@@ -7,8 +7,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from prunekit.losses import (LOSS_KEYS, LossWeights, correlation_loss, grams, joint_loss,
                              reconstruction_loss)
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
-                             conv2d, dense, flatten, max_pool2d, mul, relu, reshape,
-                             scatter_channels, softmax_cross_entropy, sum_all)
+                             conv2d, dense, flatten, max_pool2d, relu, scatter_channels,
+                             softmax_cross_entropy)
+
+
+def dot(y, g, tape):
+    """The scalar ``sum(y * g)`` for a fixed array ``g``, taped, so backward
+    seeds ``y``'s gradient with ``g``."""
+    out = Tensor((y.data * g).sum())
+    tape.record(out, (y,), lambda s: (s * g,))
+    return out
 
 
 def batch_innermost(a):
@@ -152,7 +160,7 @@ class TestConv2d:
         tape = Tape()
         out = conv2d(xt, wt, stride=stride, pad=pad, bias=bt, tape=tape)
         g = rng.standard_normal(out.shape)
-        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        backward(dot(out, g, tape), tape)
         expect_gx, expect_gw, expect_gb = naive_conv2d_backward(x, w, g, stride, pad)
         np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-9)
         np.testing.assert_allclose(wt.grad, expect_gw, rtol=0, atol=1e-9)
@@ -241,14 +249,6 @@ class TestSimpleOps:
         got = dense(Tensor(x), Tensor(w), Tensor(b)).data
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
-    @pytest.mark.parametrize("shapes", [[(2, 3, 4, 4), (1, 3, 1, 1)], [(3,), ()],
-                                        [(2, 3), (3, 2)]])
-    def test_mul_rejects_differing_shapes(self, shapes):
-        # mul once broadcast its second operand for the channel-mask multiply
-        a, b = (Tensor(np.ones(s)) for s in shapes)
-        with pytest.raises(ShapeError, match="differ"):
-            mul(a, b, Tape())
-
     def test_max_pool(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = max_pool2d(x, 2, 2)
@@ -267,7 +267,7 @@ class TestSimpleOps:
         g = rng.standard_normal(out.shape)
         expect_out, expect_gx = naive_max_pool2d(x, k, stride, g)
         np.testing.assert_array_equal(out.data, expect_out)
-        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        backward(dot(out, g, tape), tape)
         np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-12)
 
     def test_pool_window_larger_than_input(self):
@@ -281,16 +281,19 @@ class TestSimpleOps:
 
 class TestLayout:
     """conv2d hands back a batch-innermost view; relu and max_pool2d keep it,
-    reshape and flatten return row-major data."""
+    flatten returns row-major data."""
 
     def test_reshape_and_flatten_of_batch_innermost_are_row_major(self, rng):
+        # flatten copies row-major; its backward reshapes back to the input's shape
         x = rng.standard_normal((4, 3, 2, 5))
-        xt = Tensor(batch_innermost(x))
-        for got, expect in ((flatten(xt).data, x.reshape(4, -1)),
-                            (reshape(xt, (4, 3, 10)).data, x.reshape(4, 3, 10)),
-                            (reshape(xt, xt.shape).data, x)):
-            assert got.flags.c_contiguous
-            np.testing.assert_array_equal(got, expect)
+        xt = Tensor(batch_innermost(x), requires_grad=True)
+        tape = Tape()
+        out = flatten(xt, tape)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, x.reshape(4, -1))
+        g = rng.standard_normal(out.shape)
+        backward(dot(out, g, tape), tape)
+        np.testing.assert_array_equal(xt.grad, g.reshape(x.shape))
 
     def test_conv_relu_pool_conv_chain_matches_naive_oracles(self, rng):
         x = rng.standard_normal((2, 3, 8, 8))
@@ -305,7 +308,7 @@ class TestLayout:
         for h in (c1, r1, p1, out):  # the chain stays batch-innermost, as views
             assert h.data.strides[0] == 8 and not h.data.flags.c_contiguous, h.data.strides
         g = rng.standard_normal(out.shape)
-        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        backward(dot(out, g, tape), tape)
 
         e_c1 = naive_conv2d(x, w1, 1, 1) + b1[:, None, None]
         e_r1 = np.maximum(e_c1, 0.0)
@@ -321,22 +324,15 @@ class TestLayout:
 
 class TestBackward:
     def test_sum_gives_ones(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
         tape = Tape()
-        backward(sum_all(x, tape), tape)
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
-
-    def test_half_squared_norm_gives_x(self, rng):
-        x = Tensor(rng.standard_normal(7), requires_grad=True)
-        tape = Tape()
-        loss = mul(sum_all(mul(x, x, tape), tape), Tensor(0.5), tape)
-        backward(loss, tape)
-        np.testing.assert_allclose(x.grad, x.data, atol=1e-12)
+        backward(dot(flatten(x, tape), np.ones((3, 4)), tape), tape)
+        np.testing.assert_array_equal(x.grad, np.ones((3, 2, 2)))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         tape = Tape()
-        y = mul(x, x, tape)
+        y = relu(x, tape)
         with pytest.raises(ShapeError, match="scalar"):
             backward(y, tape)
 
@@ -347,18 +343,19 @@ class TestBackward:
 
     def test_grads_accumulate_across_calls(self, rng):
         x = Tensor(rng.standard_normal(5), requires_grad=True)
+        g = rng.standard_normal(5)
         tape = Tape()
-        loss = sum_all(x, tape)
+        loss = dot(x, g, tape)
         backward(loss, tape)
         backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, 2 * np.ones(5))
+        np.testing.assert_array_equal(x.grad, 2 * g)
 
     def test_shared_input_accumulates_within_graph(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
+        x = Tensor(np.array([[3.0]]), requires_grad=True)
         tape = Tape()
-        loss = sum_all(mul(x, x, tape), tape)  # x used twice
+        loss = dense(x, x, Tensor(np.zeros(1)), tape)  # x is input and weights
         backward(loss, tape)
-        np.testing.assert_allclose(x.grad, [6.0])
+        np.testing.assert_allclose(x.grad, [[6.0]])
 
 
 class TestGram:
@@ -414,8 +411,6 @@ NEED_DRIVEN_CASES = {
                             lambda t, tape: conv2d(t[0], t[1], stride=3, pad=2, bias=t[2],
                                                    tape=tape)),
     "dense": ([(4, 6), (6, 3), (3,)], lambda t, tape: dense(t[0], t[1], t[2], tape)),
-    "mul_maps": ([(2, 3, 4, 4), (2, 3, 4, 4)], lambda t, tape: mul(t[0], t[1], tape)),
-    "mul_same_shape": ([(3, 5), (3, 5)], lambda t, tape: mul(t[0], t[1], tape)),
     "reconstruction_loss": ([(2, 3, 4, 4), (2, 3, 4, 4)],
                             lambda t, tape: reconstruction_loss(t[0], t[1], tape)),
     "correlation_loss": ([(2, 3, 3, 3), (2, 3, 3, 3)],
@@ -437,7 +432,7 @@ def _run_need_driven(name, marked):
     tape = Tape()
     out = op(inputs, tape)
     if out.size != 1:
-        out = sum_all(mul(out, Tensor(r.standard_normal(out.shape)), tape), tape)
+        out = dot(out, r.standard_normal(out.shape), tape)
     backward(out, tape)
     return inputs, tape
 
@@ -465,7 +460,8 @@ class TestNeedDrivenGradients:
         tape = Tape()
         frozen = relu(Tensor(np.ones((2, 2))), tape)
         assert not frozen.requires_grad
-        live = mul(frozen, Tensor(np.ones((2, 2)), requires_grad=True), tape)
+        live = dense(frozen, Tensor(np.ones((2, 2)), requires_grad=True), Tensor(np.zeros(2)),
+                     tape)
         assert live.requires_grad
 
     def test_nodes_without_needed_output_are_not_replayed(self, rng):
@@ -477,8 +473,8 @@ class TestNeedDrivenGradients:
         prefix = tape.nodes[0]
         inner = prefix.backward_fn
         prefix.backward_fn = lambda g: calls.append(1) or inner(g)
-        loss = sum_all(conv2d(h, w, pad=1, tape=tape), tape)
-        backward(loss, tape)
+        out = conv2d(h, w, pad=1, tape=tape)
+        backward(dot(out, np.ones(out.shape), tape), tape)
         assert calls == [] and x.grad is None and w.grad is not None
 
 
@@ -495,7 +491,7 @@ class TestScatterChannels:
         g = rng.standard_normal((2, 4, 3, 3))
         tape = Tape()
         out = scatter_channels(x, [3, 0], 4, tape)
-        backward(sum_all(mul(out, Tensor(g), tape), tape), tape)
+        backward(dot(out, g, tape), tape)
         np.testing.assert_array_equal(x.grad, g[:, [3, 0]])
 
     def test_position_count_must_match_channels(self):

@@ -12,7 +12,8 @@ get one line each. The masked path, which the sweep never takes, follows on
 the 12x12 reference net: the logits of a few seeded random mask patterns (as
 acceptance criterion 3 draws them), and one layer scored, masked and refit on a
 net with its first conv layer masked (sensitivities, kept rows, loss curve).
-The last line hashes all lines. Two checkouts whose
+Then the gradient suite's (name, worst relative error, passed) results over 3
+seeds get one line. The last line hashes all lines. Two checkouts whose
 manifest hashes agree produced byte-identical outputs. prunekit is imported
 from this checkout's src/, with one BLAS thread.
 """
@@ -33,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 import prunekit as pk  # noqa: E402
 from prunekit.cli import main as cli_main  # noqa: E402
+from prunekit.gradcheck import run_suite  # noqa: E402
 from prunekit.metrics import ABLATION_COMBOS, loss_combo_label  # noqa: E402
 from prunekit.network import (ChannelMask, apply_mask, conv, dense_layer,  # noqa: E402
                               flatten_layer, forward, maxpool, relu_layer)
@@ -137,6 +139,7 @@ def main() -> None:
                      "library manifest")
         run_cli(tmp, digest)
         run_masked(*trained["ref"], digest)
+        digest("gradcheck/run_suite_3", repr(run_suite(n_seeds=3)).encode())
     print("\n".join(lines))
     print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  manifest")
 
