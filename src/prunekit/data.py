@@ -22,7 +22,7 @@ class DataError(ValueError):
 class Dataset:
     """Train/test image splits in [0,1] plus per-channel normalization stats."""
     train_images: np.ndarray  # [B,C,H,W] float64 in [0,1]
-    train_labels: np.ndarray  # int64
+    train_labels: np.ndarray  # 1-d, integer
     test_images: np.ndarray
     test_labels: np.ndarray
     mean: np.ndarray          # per channel, from the train split
@@ -34,42 +34,56 @@ class Dataset:
                                    ("test", self.test_images, self.test_labels)):
             if imgs.ndim != 4 or len(labels) != len(imgs):
                 raise DataError(f"{name} split images/labels are inconsistent")
+            if imgs.shape[1:] != self.train_images.shape[1:]:
+                raise DataError(f"{name} images are {list(imgs.shape[1:])} [C,H,W], "
+                                f"train images are {list(self.train_images.shape[1:])}")
+            if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                    and np.issubdtype(labels.dtype, np.integer)):
+                raise DataError(f"{name} labels must be a 1-d integer array, got "
+                                f"{np.shape(labels)} {np.asarray(labels).dtype}")
             if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise DataError(f"{name} split has labels outside [0, {self.num_classes})")
             if not np.isfinite(imgs).all():
                 raise DataError(f"{name} split contains non-finite pixels")
+        for name, stat in (("mean", self.mean), ("std", self.std)):
+            if np.shape(stat) != self.image_shape[:1]:
+                raise DataError(f"{name} must be shaped {self.image_shape[:1]}, "
+                                f"got {np.shape(stat)}")
 
     @property
     def image_shape(self) -> tuple:
         return self.train_images.shape[1:]
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        if name == "train":
-            return self.train_images, self.train_labels
-        if name == "test":
-            return self.test_images, self.test_labels
-        raise DataError(f"unknown split {name!r}")
-
-    def normalized(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        imgs, labels = self.split(name)
+        """Split ``name``'s images and labels as stored; ``DataError`` if empty."""
+        if name not in ("train", "test"):
+            raise DataError(f"unknown split {name!r}")
+        imgs, labels = getattr(self, f"{name}_images"), getattr(self, f"{name}_labels")
         if not len(imgs):
             raise DataError(f"split {name!r} is empty")
+        return imgs, labels
+
+    def normalized(self, name: str, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows`` of split ``name`` (all by default), normalized per channel, and
+        their labels. Only those rows are copied, with the bits of the same rows of the
+        whole normalized split."""
+        imgs, labels = self.split(name)
         m = self.mean.reshape(1, -1, 1, 1)
         s = self.std.reshape(1, -1, 1, 1)
-        return (imgs - m) / s, labels
+        return (imgs[rows] - m) / s, labels[rows]
 
     def sample_batch(self, name: str, batch_size: int,
                      rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
-        imgs, labels = self.normalized(name)
-        idx = sample_indices(len(imgs), batch_size, rng)
-        return Tensor(imgs[idx]), labels[idx]
+        idx = sample_indices(len(self.split(name)[1]), batch_size, rng)
+        imgs, labels = self.normalized(name, idx)
+        return Tensor(imgs), labels
 
     def iter_batches(self, name: str, batch_size: int,
                      rng: np.random.Generator) -> Iterator[tuple[Tensor, np.ndarray]]:
         """One pass over the split in an order shuffled by ``rng``."""
-        imgs, labels = self.normalized(name)
-        for idx in epoch_indices(len(imgs), batch_size, rng):
-            yield Tensor(imgs[idx]), labels[idx]
+        for idx in epoch_indices(len(self.split(name)[1]), batch_size, rng):
+            imgs, labels = self.normalized(name, idx)
+            yield Tensor(imgs), labels
 
 
 # Batch index draws. Code that indexes arrays derived from a split (such as

@@ -6,13 +6,15 @@ The pruning errors live here, below ``pruner`` and ``losses``, because
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import DataError, Dataset
-from .network import Network, forward_chunks
+from .network import Network, forward
+from .tensor import Tensor
 
 
 class PruneError(RuntimeError):
@@ -92,11 +94,31 @@ def check_fits(net: Network, dataset: Dataset) -> None:
                         f"{dataset.image_shape} images of {dataset.num_classes} classes")
 
 
+# Float64 bytes that the largest per-row array of one ``evaluate`` chunk (the
+# input image or a conv layer's im2col rows) may take. Forward time per image
+# does not depend on the chunk size. 20 MiB is 63 rows at 24x24 and 252 at 12x12
+# on the reference net. A fixed 64 rows at every size lowered glibc's dynamic
+# mmap and trim thresholds at 12x12 below one training step's working set, so
+# every step page-faulted its heap back in.
+EVAL_CHUNK_BYTES = 20 * 2**20
+
+
 def evaluate(net: Network, dataset: Dataset, split: str = "test") -> float:
-    """Top-1 error fraction of the network on one labeled split, 256 rows at a time."""
+    """Top-1 error fraction of the network on one labeled split, run in chunks of
+    as many rows as keep the largest per-row array within ``EVAL_CHUNK_BYTES``.
+    Each chunk is normalized as it is run; no normalized copy of the split is held."""
     check_fits(net, dataset)
-    images, labels = dataset.normalized(split)
-    return error_rate(forward_chunks(net, images, 256), labels, split)
+    shapes = net.layer_shapes()
+    row_floats = max([math.prod(net.input_shape)]
+                     + [s.in_channels * s.kernel ** 2 * shapes[l][1] * shapes[l][2]
+                        for l, s in enumerate(net.specs) if s.kind == "conv"])
+    rows = max(1, EVAL_CHUNK_BYTES // (8 * row_floats))
+    labels = dataset.split(split)[1]
+    logits = np.empty((len(labels), dataset.num_classes))
+    for i in range(0, len(labels), rows):
+        images, _ = dataset.normalized(split, slice(i, i + rows))
+        logits[i:i + rows] = forward(net, Tensor(images)).data
+    return error_rate(logits, labels, split)
 
 
 def loss_combo_label(combo: frozenset) -> str:

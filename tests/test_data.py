@@ -1,12 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import prunekit as pk
 from prunekit.cli import main
-from prunekit.data import (CIFAR_BATCH_RECORDS, CIFAR_RECORD, DataError,
-                           load_cifar10, synth_dataset)
+from prunekit.data import (CIFAR_BATCH_RECORDS, CIFAR_RECORD, DataError, epoch_indices,
+                           load_cifar10, sample_indices, synth_dataset)
 
 
 class TestSynthDataset:
@@ -165,3 +166,57 @@ class TestDatasetContainer:
     def test_unknown_split_rejected(self, tiny_dataset):
         with pytest.raises(DataError, match="unknown split"):
             tiny_dataset.split("validation")
+
+    def test_batches_are_rows_of_the_normalized_split(self, tiny_dataset):
+        # batches normalize only the rows they hand out; the bits must be those
+        # of the same rows of the whole normalized split, for the same rng
+        imgs, labels = tiny_dataset.normalized("train")
+        assert len(imgs) % 32  # the last batch of an epoch is short
+        xb, yb = tiny_dataset.sample_batch("train", 32, np.random.default_rng(3))
+        idx = sample_indices(len(imgs), 32, np.random.default_rng(3))
+        assert xb.data.tobytes() == imgs[idx].tobytes()
+        np.testing.assert_array_equal(yb, labels[idx])
+        batches = list(tiny_dataset.iter_batches("train", 32, np.random.default_rng(4)))
+        order = list(epoch_indices(len(imgs), 32, np.random.default_rng(4)))
+        assert [len(y) for _, y in batches] == [len(i) for i in order] == [32, 32, 26]
+        for (xb, yb), idx in zip(batches, order):
+            assert xb.data.tobytes() == imgs[idx].tobytes()
+            np.testing.assert_array_equal(yb, labels[idx])
+
+    def test_empty_split_rejected_by_batches(self, tiny_dataset):
+        ds = replace(tiny_dataset, test_images=tiny_dataset.test_images[:0],
+                     test_labels=tiny_dataset.test_labels[:0])
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="empty"):
+            ds.sample_batch("test", 4, rng)
+        with pytest.raises(DataError, match="empty"):
+            next(ds.iter_batches("test", 4, rng))
+
+
+class TestDatasetBoundary:
+    def test_test_images_of_another_shape_rejected(self, tiny_dataset):
+        # once a ShapeError from forward on the first evaluate chunk
+        with pytest.raises(DataError, match=r"test images are \[3, 6, 6\]"):
+            replace(tiny_dataset, test_images=tiny_dataset.test_images[:, :, :6, :6])
+        with pytest.raises(DataError, match=r"test images are \[1, 8, 8\]"):
+            replace(tiny_dataset, test_images=tiny_dataset.test_images[:, :1])
+
+    @pytest.mark.parametrize("stat", ["mean", "std"])
+    def test_stats_not_one_per_channel_rejected(self, tiny_dataset, stat):
+        # once numpy's bare "operands could not be broadcast" on the first batch
+        for bad in (np.ones(2), np.ones((3, 1)), np.float64(1.0)):
+            with pytest.raises(DataError, match=f"{stat} must be shaped \\(3,\\)"):
+                replace(tiny_dataset, **{stat: bad})
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_labels_not_1d_integers_rejected(self, tiny_dataset, split):
+        # float labels once passed evaluate, then train_baseline raised IndexError
+        labels = getattr(tiny_dataset, f"{split}_labels")
+        for bad in (labels.astype(np.float64), labels.astype(bool), labels.reshape(-1, 1),
+                    labels.tolist()):
+            with pytest.raises(DataError, match=f"{split} labels must be a 1-d integer"):
+                replace(tiny_dataset, **{f"{split}_labels": bad})
+
+    def test_other_integer_labels_accepted(self, tiny_dataset):
+        labels = tiny_dataset.train_labels.astype(np.uint8)
+        assert replace(tiny_dataset, train_labels=labels).train_labels is labels

@@ -1,10 +1,14 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import prunekit as pk
+from prunekit import metrics
 from prunekit.data import DataError
 from prunekit.metrics import (ABLATION_COMBOS, CompressionStats, count_flops,
-                              count_params, evaluate, format_table,
+                              count_params, error_rate, evaluate, format_table,
                               loss_combo_label)
 from prunekit.network import (ChannelMask, Network, conv, dense_layer,
                               flatten_layer, forward, materialize, maxpool,
@@ -117,6 +121,58 @@ class TestEvaluate:
                            tiny_dataset.mean, tiny_dataset.std, 3)
         with pytest.raises(DataError, match="empty"):
             evaluate(trained_tiny, empty, "test")
+
+    @pytest.fixture
+    def rows_64(self, monkeypatch):
+        """Chunks of 64 rows on the tiny net, whose largest per-row array is the
+        im2col rows of its 4->6 conv: 4 channels x 3x3 taps x 8x8 positions."""
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_BYTES", 64 * 8 * (4 * 9 * 8 * 8))
+
+    @pytest.fixture
+    def chunk_rows(self, monkeypatch):
+        """The row count of every forward ``evaluate`` runs, in order."""
+        rows = []
+        monkeypatch.setattr(metrics, "forward",
+                            lambda net, x: rows.append(len(x.data)) or forward(net, x))
+        return rows
+
+    def test_chunks_equal_one_forward(self, trained_tiny, rows_64, chunk_rows):
+        # two full chunks and a remainder give the error of one forward over
+        # the whole normalized split
+        full = pk.synth_dataset(3, 10, image_size=8, seed=4, test_per_class=50)
+        ds = replace(full, test_images=full.test_images[:130],
+                     test_labels=full.test_labels[:130])
+        images, labels = ds.normalized("test")
+        expected = error_rate(forward(trained_tiny, Tensor(images)).data, labels, "test")
+        assert evaluate(trained_tiny, ds, "test") == expected
+        assert chunk_rows == [64, 64, 2]
+
+    def test_memory_does_not_grow_with_the_split(self, trained_tiny, tiny_dataset, rows_64):
+        # evaluate holds one chunk, never a normalized copy of the whole split:
+        # one normalized 1 024-row split of 8x8 images is 1.5 MB
+        rng = np.random.default_rng(5)
+        sets = [replace(tiny_dataset, test_images=rng.uniform(size=(n, 3, 8, 8)),
+                        test_labels=rng.integers(0, 3, n)) for n in (256, 1024)]
+        evaluate(trained_tiny, sets[0], "test")
+        peaks = []
+        tracemalloc.start()
+        try:
+            for ds in sets:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                evaluate(trained_tiny, ds, "test")
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 200e3, f"peaks {peaks} bytes"
+
+    def test_reference_net_chunk_rows(self, chunk_rows):
+        # at 24x24 the 32->32 conv's im2col rows take 331 776 bytes per image
+        ds = pk.synth_dataset(3, 30, image_size=24, seed=1, test_per_class=30)
+        net = Network.initialize(pk.reference_specs(3, 24, 3), ds.image_shape, 3,
+                                 np.random.default_rng(0))
+        evaluate(net, ds, "train")
+        assert chunk_rows == [63, 27]
 
     def test_non_finite_logits_raise(self, trained_tiny, tiny_dataset):
         # argmax over a NaN row picks class 0, which once read as a plausible error

@@ -281,9 +281,9 @@ class TestModelMustFitData:
     def no_forward(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("forward pass before the fit check")
+        monkeypatch.setattr(pruner, "forward_chunks", fail)
         for module in (pruner, pk.metrics):
-            monkeypatch.setattr(module, "forward_chunks", fail)
-        monkeypatch.setattr(pruner, "forward", fail)
+            monkeypatch.setattr(module, "forward", fail)
 
     @staticmethod
     def _net(specs, classes, trained=True):
