@@ -9,7 +9,6 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -88,17 +87,18 @@ def _prune_config(args, **row) -> PruneConfig:
 
 
 def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[str]) -> int:
-    """Prune the baseline under each ``(label, config)`` row once per seed,
-    without fine-tuning, since the table reports masked errors only. Each row
-    gets the seed-order mean of its masked errors; ``<name>.csv`` holds them as
+    """Prune the baseline under each ``(label, fields)`` row once per seed: the
+    prune flags' config with the row's fields, the seed and no fine-tuning in
+    place of theirs, since the table reports masked errors only. Each row gets
+    the seed-order mean of its masked errors; ``<name>.csv`` holds them as
     ``repr`` floats, ``<name>.txt`` and stdout as an aligned table."""
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    dataset, net = _load_dataset(args), load(args.model)
     seeds = range(args.seeds)
-    reports = [report for _, report in prune_runs(
-        net, [replace(cfg, seed=seed, finetune_epochs=0) for _, cfg in rows for seed in seeds],
-        dataset)]
+    cfgs = [_prune_config(args, **row, seed=seed, finetune_epochs=0)
+            for _, row in rows for seed in seeds]
+    dataset, net = _load_dataset(args), load(args.model)
+    reports = [report for _, report in prune_runs(net, cfgs, dataset)]
     summary = []
     for i, (label, _) in enumerate(rows):
         runs = reports[i * len(seeds):(i + 1) * len(seeds)]
@@ -161,8 +161,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablation(args) -> int:
     return _masked_table(args, "ablation", "losses",
-                         [(metrics.loss_combo_label(combo),
-                           _prune_config(args, enabled_losses=combo))
+                         [(metrics.loss_combo_label(combo), {"enabled_losses": combo})
                           for combo in metrics.ABLATION_COMBOS],
                          ["train_error", "test_error"])
 
@@ -175,7 +174,7 @@ def cmd_rate_sweep(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--rates: {exc}") from None
     return _masked_table(args, "rate_sweep", "rate",
-                         [(rate, _prune_config(args, rate=rate)) for rate in rates],
+                         [(rate, {"rate": rate}) for rate in rates],
                          ["test_error"])
 
 
@@ -215,7 +214,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="prunekit",
+    # main splices only --config itself, so an abbreviation (--conf) would be dropped
+    parser = argparse.ArgumentParser(prog="prunekit", allow_abbrev=False,
                                      description="multi-loss channel pruning toolkit")
     parser.add_argument("--config", default="",
                         help="key=value file supplying flag defaults")

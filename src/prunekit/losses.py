@@ -10,10 +10,11 @@ as M channels by N = H*Z spatial positions per example:
   activation mass sits spatially;
 * classification: mean softmax cross-entropy of the pruned network's logits.
 
-Batched inputs are averaged per example, then over the batch. Each loss,
-``joint_loss`` included, records one tape node with its own backward rule:
-``joint_loss`` adds the enabled terms, each times its weight (1.0 for r, alpha
-for s, beta for c), left to right in r, s, c order.
+Batched inputs are averaged per example, then over the batch. F is a
+constant target, like the labels of ``softmax_cross_entropy``: only F' gets a
+gradient. Each loss, ``joint_loss`` included, records one tape node with its
+own backward rule: ``joint_loss`` adds the enabled terms, each times its
+weight (1.0 for r, alpha for s, beta for c), left to right in r, s, c order.
 """
 
 from __future__ import annotations
@@ -62,17 +63,16 @@ def _as_batched(name: str, f_base: Tensor,
 
 def reconstruction_loss(f_base: Tensor, f_pruned: Tensor,
                         tape: Optional[Tape] = None) -> Tensor:
+    """Mean 1/(2T) ||F - F'||^2; ``f_base`` is a constant target, as above."""
     fb, fp = _as_batched("reconstruction_loss", f_base, f_pruned)
     bsz = fb.shape[0]
     t_norm = fb[0].size  # M * H * Z
     diff = fb - fp
     out = Tensor((diff * diff).sum() / (2.0 * t_norm * bsz))
     if tape is not None:
-        def bw(g):
-            gp = g * (fp - fb) / (t_norm * bsz)
-            return ((-gp).reshape(f_base.shape) if f_base.requires_grad else None,
-                    gp.reshape(f_pruned.shape) if f_pruned.requires_grad else None)
-        tape.record(out, (f_base, f_pruned), bw)
+        tape.record(out, (f_pruned,), lambda g: (
+            (g * (fp - fb) / (t_norm * bsz)).reshape(f_pruned.shape)
+            if f_pruned.requires_grad else None,))
     return out
 
 
@@ -85,6 +85,7 @@ def grams(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def correlation_loss(f_base: Tensor, f_pruned: Tensor,
                      tape: Optional[Tape] = None) -> Tensor:
+    """Mean Gram distance of F and F'; ``f_base`` is a constant target, as above."""
     fb, fp = _as_batched("correlation_loss", f_base, f_pruned)
     bsz, m = fb.shape[0], fb.shape[1]
     n = fb.shape[2] * fb.shape[3]
@@ -98,16 +99,10 @@ def correlation_loss(f_base: Tensor, f_pruned: Tensor,
     coef = 1.0 / (4.0 * n * n * m * m)
     out = Tensor(coef * ((df * df).sum() + (ds * ds).sum()) / bsz)
     if tape is not None:
-        def bw(g):
-            # d||A - FF^T||^2 / dF = -4 (A - FF^T) F for symmetric difference
-            c = g * coef / bsz
-            gb = gp = None
-            if f_pruned.requires_grad:
-                gp = (-4.0 * c * (df @ fp2 + fp2 @ ds)).reshape(f_pruned.shape)
-            if f_base.requires_grad:
-                gb = (4.0 * c * (df @ fb2 + fb2 @ ds)).reshape(f_base.shape)
-            return gb, gp
-        tape.record(out, (f_base, f_pruned), bw)
+        # d||A - FF^T||^2 / dF = -4 (A - FF^T) F for symmetric difference
+        tape.record(out, (f_pruned,), lambda g: (
+            (-4.0 * (g * coef / bsz) * (df @ fp2 + fp2 @ ds)).reshape(f_pruned.shape)
+            if f_pruned.requires_grad else None,))
     return out
 
 

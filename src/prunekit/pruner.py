@@ -210,26 +210,6 @@ def advance_activations(acts: FrozenActivations, net_base: Network,
         f_base, acts.labels)
 
 
-def _layer_joint_loss(net_pruned: Network, layer: int, cfg: PruneConfig,
-                      acts: FrozenActivations, idx: np.ndarray,
-                      tape: Optional[Tape]) -> tuple[Tensor, LossBreakdown]:
-    """Joint loss at one layer on the examples ``idx``, building only the
-    enabled terms: the pruned net runs layer ``layer``, and the layers past it
-    only for c; r and s compare it, at ``acts.retained`` once shrunk, with ``acts.f_base``."""
-    on = cfg.enabled_losses
-    f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
-    f_pruned = forward(net_pruned, Tensor(acts.x_in[idx]), tape=tape, upto_layer=layer,
-                       start=layer)
-    if "c" in on:
-        logits = forward(net_pruned, f_pruned, tape=tape, start=layer + 1)
-    f_cmp = (f_pruned if f_base is None or acts.retained is None
-             else scatter_channels(f_pruned, acts.retained, f_base.shape[1], tape))
-    l_r = reconstruction_loss(f_base, f_cmp, tape) if "r" in on else None
-    l_s = correlation_loss(f_base, f_cmp, tape) if "s" in on else None
-    l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
-    return joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
-
-
 @contextmanager
 def _only_layer_trainable(net: Network, layer: int):
     """Set ``requires_grad`` on layer ``layer``'s parameters only, so backward
@@ -245,19 +225,42 @@ def _only_layer_trainable(net: Network, layer: int):
             t.requires_grad = flag
 
 
+def _layer_backward(net_pruned: Network, layer: int, cfg: PruneConfig,
+                    acts: FrozenActivations, idx: np.ndarray) -> LossBreakdown:
+    """One taped pass of the joint loss at layer ``layer`` on the examples
+    ``idx``, which adds to the layer's ``w.grad`` and ``b.grad``. Only those
+    two are differentiated: the cached input, the baseline map and the layers
+    past ``layer`` are constants. Only the enabled terms are built: the pruned
+    net runs layer ``layer``, and the layers past it only for c; r and s
+    compare it, at ``acts.retained`` once shrunk, with ``acts.f_base``."""
+    on = cfg.enabled_losses
+    with _only_layer_trainable(net_pruned, layer):
+        tape = Tape()
+        f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
+        f_pruned = forward(net_pruned, Tensor(acts.x_in[idx]), tape=tape, upto_layer=layer,
+                           start=layer)
+        if "c" in on:
+            logits = forward(net_pruned, f_pruned, tape=tape, start=layer + 1)
+        f_cmp = (f_pruned if f_base is None or acts.retained is None
+                 else scatter_channels(f_pruned, acts.retained, f_base.shape[1], tape))
+        l_r = reconstruction_loss(f_base, f_cmp, tape) if "r" in on else None
+        l_s = correlation_loss(f_base, f_cmp, tape) if "s" in on else None
+        l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
+        total, bd = joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
+        backward(total, tape)
+    return bd
+
+
 def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> np.ndarray:
     """Joint-loss gradients accumulated over selection batches, averaged, then
     turned into per-channel sensitivities. Batches are drawn as
     ``Dataset.sample_batch`` draws them."""
+    for _ in range(cfg.selection_batches):
+        _layer_backward(net_pruned, layer, cfg, acts,
+                        sample_indices(len(acts.labels), cfg.batch_size, rng))
     w = net_pruned.params[layer]["w"]
-    with _only_layer_trainable(net_pruned, layer):
-        for _ in range(cfg.selection_batches):
-            idx = sample_indices(len(acts.labels), cfg.batch_size, rng)
-            tape = Tape()
-            total, _ = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
-            backward(total, tape)
-    grad = (w.grad if w.grad is not None else np.zeros_like(w.data)) / cfg.selection_batches
+    grad = w.grad / cfg.selection_batches
     for t in net_pruned.params[layer].values():
         t.zero_grad()
     return channel_sensitivity(w, grad)
@@ -276,22 +279,17 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     params = net_pruned.params[layer].values()
 
     history: list[LossBreakdown] = []
-    with _only_layer_trainable(net_pruned, layer):
-        for _ in range(cfg.refit_epochs):
-            sums = np.zeros(4)
-            batches = 0
-            for idx in epoch_indices(len(acts.labels), cfg.batch_size, rng):
-                tape = Tape()
-                total, bd = _layer_joint_loss(net_pruned, layer, cfg, acts, idx, tape)
-                backward(total, tape)
-                for t in params:
-                    t.data[keep] -= cfg.eta * t.grad[keep]
-                    t.zero_grad()
-                sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
-                batches += 1
-            epoch_bd = LossBreakdown(*map(float, sums / batches))
-            history.append(epoch_bd)
-            _check_divergence(f"refit of layer {layer}", epoch_bd.total, history[0].total)
+    for _ in range(cfg.refit_epochs):
+        sums = np.zeros(4)
+        for batches, idx in enumerate(epoch_indices(len(acts.labels), cfg.batch_size, rng), 1):
+            bd = _layer_backward(net_pruned, layer, cfg, acts, idx)
+            for t in params:
+                t.data[keep] -= cfg.eta * t.grad[keep]
+                t.zero_grad()
+            sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
+        epoch_bd = LossBreakdown(*map(float, sums / batches))
+        history.append(epoch_bd)
+        _check_divergence(f"refit of layer {layer}", epoch_bd.total, history[0].total)
     return history
 
 

@@ -284,11 +284,15 @@ class TestTables:
 
     @pytest.mark.parametrize("command,name,rows,unread", [
         ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--rate", "0"]),
-        ("ablation", "ablation", [], ["--losses", "x"])], ids=["rate-sweep", "ablation"])
+        ("ablation", "ablation", [], ["--losses", "x"]),
+        ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--finetune-epochs", "-1"]),
+        ("ablation", "ablation", [], ["--finetune-epochs", "-1"])],
+        ids=["rate-sweep", "ablation", "rate-sweep-finetune", "ablation-finetune"])
     def test_flag_that_every_row_replaces_is_not_read(self, model_path, tmp_path, command,
                                                       name, rows, unread):
-        # rate-sweep --rate 0 and ablation --losses x once exited 1 with the
-        # error of a value that no row uses
+        # rate-sweep --rate 0, ablation --losses x and either table's
+        # --finetune-epochs -1 once exited 1 with the error of a value that no
+        # row uses
         tables = []
         for run, extra in enumerate(([], unread)):
             out = tmp_path / str(run)
@@ -463,6 +467,19 @@ class TestConfigFile:
                    "--out", str(out), *FAST_DATA, *FAST_PRUNE])
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["config"]["rate"] == 0.7
+
+    @pytest.mark.parametrize("spelling", [["--conf", "FILE"], ["--conf=FILE"]],
+                             ids=["space", "equals"])
+    def test_abbreviated_config_is_rejected(self, model_path, tmp_path, capsys, spelling):
+        # argparse once read "--conf FILE" as --config, which main never spliced,
+        # so eval exited 0 on the default data without reading the file
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("classes = 3\nper-class = 20\nimage-size = 8\n")
+        with pytest.raises(SystemExit) as exc:
+            main([s.replace("FILE", str(cfg)) for s in spelling]
+                 + ["eval", "--model", str(model_path)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["prune", "--config"], ["--config"]])
     def test_config_without_value_single_line_error(self, argv, capsys):

@@ -17,7 +17,7 @@ CASES = sorted(suite_cases().items())
 @pytest.mark.parametrize("seed", range(3))
 def test_analytic_matches_central_differences(name, builder, seed):
     build_loss, params = builder(np.random.default_rng(seed))
-    worst = check_gradients(build_loss, params, rtol=1e-3)
+    worst = check_gradients(build_loss, params)
     assert worst <= 1e-3
 
 
@@ -33,7 +33,7 @@ def test_network_end_to_end_gradient(trained_tiny, tiny_dataset):
     def build(tape):
         return softmax_cross_entropy(forward(trained_tiny, xb, tape=tape), yb, tape)
 
-    worst = check_gradients(build, params, rtol=1e-3)
+    worst = check_gradients(build, params)
     assert worst <= 1e-3
     for p in params:
         p.zero_grad()

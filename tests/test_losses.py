@@ -99,16 +99,16 @@ class TestCorrelationLoss:
 class TestLayout:
     def test_batch_innermost_view_equals_row_major_copy(self, rng):
         # forward hands back conv maps as strided views; each map loss must give
-        # byte-equal values and input gradients for a view and its row-major copy
+        # byte-equal values and f_pruned gradients for a view and its row-major copy
         def first_axis_innermost(a):
             return np.ascontiguousarray(np.moveaxis(a, 0, -1)).transpose(-1, *range(a.ndim - 1))
 
         def run(loss, fb, fp):
-            ts = [Tensor(fb, requires_grad=True), Tensor(fp, requires_grad=True)]
+            f_pruned = Tensor(fp, requires_grad=True)
             tape = Tape()
-            out = loss(*ts, tape)
+            out = loss(Tensor(fb), f_pruned, tape)
             backward(out, tape)
-            return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+            return [out.data.tobytes(), f_pruned.grad.tobytes()]
 
         for shape in ((6, 8, 8), (5, 6, 8, 8), (16, 32, 6, 6)):
             fb, fp = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -116,6 +116,25 @@ class TestLayout:
             assert not views[0].flags.c_contiguous
             for loss in (reconstruction_loss, correlation_loss):
                 assert run(loss, *views) == run(loss, fb, fp), (loss.__name__, shape)
+
+
+class TestBaselineMapIsConstant:
+    @pytest.mark.parametrize("loss", [reconstruction_loss, correlation_loss])
+    def test_baseline_map_gets_no_gradient(self, rng, loss):
+        # f_base is a target, like the labels of softmax_cross_entropy: a
+        # requires_grad baseline map once got a gradient that no caller read
+        fb, fp = rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 3, 4, 4))
+        grads = []
+        for base_requires_grad in (False, True):
+            f_base = Tensor(fb, requires_grad=base_requires_grad)
+            f_pruned = Tensor(fp, requires_grad=True)
+            tape = Tape()
+            backward(loss(f_base, f_pruned, tape), tape)
+            assert f_base.grad is None
+            grads.append(f_pruned.grad.tobytes())
+        assert grads[0] == grads[1]
+        if loss is reconstruction_loss:  # (F' - F) / (T B), the rule's own arithmetic
+            assert grads[0] == ((fp - fb) / (3 * 4 * 4 * 2)).tobytes()
 
 
 class TestClassificationLoss:

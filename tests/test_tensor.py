@@ -401,6 +401,8 @@ class TestGram:
             grams(np.zeros((1, 2, 2, 2)))
 
 
+F_BASE = [Tensor(np.random.default_rng(6).standard_normal(s))
+          for s in ((2, 3, 4, 4), (2, 3, 3, 3))]
 # op name -> (input shapes, op(inputs, tape)); the op's own node comes first
 NEED_DRIVEN_CASES = {
     "conv2d_bias": ([(2, 3, 6, 6), (4, 3, 3, 3), (4,)],
@@ -411,10 +413,11 @@ NEED_DRIVEN_CASES = {
                             lambda t, tape: conv2d(t[0], t[1], stride=3, pad=2, bias=t[2],
                                                    tape=tape)),
     "dense": ([(4, 6), (6, 3), (3,)], lambda t, tape: dense(t[0], t[1], t[2], tape)),
-    "reconstruction_loss": ([(2, 3, 4, 4), (2, 3, 4, 4)],
-                            lambda t, tape: reconstruction_loss(t[0], t[1], tape)),
-    "correlation_loss": ([(2, 3, 3, 3), (2, 3, 3, 3)],
-                         lambda t, tape: correlation_loss(t[0], t[1], tape)),
+    # the map losses differentiate f_pruned only; f_base is a fixed target
+    "reconstruction_loss": ([(2, 3, 4, 4)],
+                            lambda t, tape: reconstruction_loss(F_BASE[0], t[0], tape)),
+    "correlation_loss": ([(2, 3, 3, 3)],
+                         lambda t, tape: correlation_loss(F_BASE[1], t[0], tape)),
     "scatter_channels": ([(2, 2, 3, 3)],
                          lambda t, tape: scatter_channels(t[0], [3, 0], 4, tape)),
     "joint_loss": ([(), (), ()],
