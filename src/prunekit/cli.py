@@ -282,7 +282,8 @@ def main(argv=None) -> int:
             argv = argv[:at] + argv[at + 2:]
             argv = argv[:1] + extra + argv[1:]
         args = parser.parse_args(argv)
-        for key in ("seed", "data_seed"):
+        # ablation and rate-sweep replace --seed in every row, so only train and prune read it
+        for key in ("seed", "data_seed") if args.fn in (cmd_train, cmd_prune) else ("data_seed",):
             if vars(args).get(key, 0) < 0:
                 raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {vars(args)[key]}")
         # an overflow surfaces as one typed error from the finite checks of

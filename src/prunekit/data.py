@@ -1,9 +1,10 @@
-"""Dataset ingestion: synthetic class-conditional images and CIFAR-10 binaries."""
+"""Dataset ingestion: synthetic class-conditional images and CIFAR-10 binaries.
+A ``Dataset`` derives its normalization stats from its train split."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -20,14 +21,16 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    """Train/test image splits in [0,1] plus per-channel normalization stats."""
+    """Train/test image splits in [0,1]. Both splits are normalized by the
+    per-channel ``mean`` and ``std`` of the train split, which construction
+    computes, so a nonempty train split is required."""
     train_images: np.ndarray  # [B,C,H,W] float64 in [0,1]
     train_labels: np.ndarray  # 1-d, integer
     test_images: np.ndarray
     test_labels: np.ndarray
-    mean: np.ndarray          # per channel, from the train split
-    std: np.ndarray
     num_classes: int
+    mean: np.ndarray = field(init=False)
+    std: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name, imgs, labels in (("train", self.train_images, self.train_labels),
@@ -45,10 +48,10 @@ class Dataset:
                 raise DataError(f"{name} split has labels outside [0, {self.num_classes})")
             if not np.isfinite(imgs).all():
                 raise DataError(f"{name} split contains non-finite pixels")
-        for name, stat in (("mean", self.mean), ("std", self.std)):
-            if np.shape(stat) != self.image_shape[:1]:
-                raise DataError(f"{name} must be shaped {self.image_shape[:1]}, "
-                                f"got {np.shape(stat)}")
+        if not len(self.train_images):
+            raise DataError("train split is empty: no images to normalize by")
+        self.mean = self.train_images.mean(axis=(0, 2, 3))
+        self.std = np.maximum(self.train_images.std(axis=(0, 2, 3)), 1e-6)
 
     @property
     def image_shape(self) -> tuple:
@@ -102,12 +105,6 @@ def epoch_indices(n: int, batch_size: int, rng: np.random.Generator) -> Iterator
         yield order[start:start + batch_size]
 
 
-def _normalization(train_images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train_images.mean(axis=(0, 2, 3))
-    std = train_images.std(axis=(0, 2, 3))
-    return mean, np.maximum(std, 1e-6)
-
-
 def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int = 0,
                   test_per_class: Optional[int] = None) -> Dataset:
     """Class-conditional structured 3-channel images: each class gets its own grating
@@ -152,9 +149,7 @@ def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int 
 
     train_images, train_labels = make(per_class)
     test_images, test_labels = make(test_per_class)
-    mean, std = _normalization(train_images)
-    return Dataset(train_images, train_labels, test_images, test_labels,
-                   mean, std, classes)
+    return Dataset(train_images, train_labels, test_images, test_labels, classes)
 
 
 def _read_cifar_file(path: str) -> np.ndarray:
@@ -192,5 +187,4 @@ def load_cifar10(data_dir: str, train_cap: Optional[int] = None,
     train_images, train_labels = _cifar_split(
         np.concatenate([_read_cifar_file(p) for p in paths[:5]]), train_cap)
     test_images, test_labels = _cifar_split(_read_cifar_file(paths[5]), test_cap)
-    mean, std = _normalization(train_images)
-    return Dataset(train_images, train_labels, test_images, test_labels, mean, std, 10)
+    return Dataset(train_images, train_labels, test_images, test_labels, 10)

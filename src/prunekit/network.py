@@ -3,7 +3,8 @@
 A network is an ordered chain of layers (conv / relu / maxpool / flatten /
 dense) with a parameter store keyed by layer index. A channel mask zeroes the
 kernel rows and biases of the conv channels it drops, so their output planes
-are exactly zero, and the network records it in ``masks``; ``shrink_layer``
+are exactly zero; ``masks`` reads the rows still live back from the parameters,
+so a masked net keeps its masks through a copy or a file. ``shrink_layer``
 removes one layer's channels for real with the next layer's input slice, and
 ``materialize`` every layer's. The on-disk format is documented in docs/format.md.
 """
@@ -97,19 +98,16 @@ class ChannelMask:
 
 
 class Network:
-    """Ordered layer chain with named parameters and ``masks``: for each conv
-    layer that ``apply_mask`` masked, the rows still kept. Its per-layer output
-    shapes are derived once, at construction, from ``specs``, a tuple.
+    """Ordered layer chain with named parameters. Its per-layer output shapes
+    are derived once, at construction, from ``specs``, a tuple.
     ``trained``, the model file's one flag bit, marks a net fit to be a pruning baseline."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_shape: tuple, num_classes: int,
-                 params: Optional[dict] = None, masks: Optional[dict] = None,
-                 trained: bool = False):
+                 params: Optional[dict] = None, trained: bool = False):
         self.specs = tuple(specs)
         self.input_shape = tuple(input_shape)
         self.num_classes = int(num_classes)
         self.params = params if params is not None else {}
-        self.masks = masks if masks is not None else {}
         self.trained = trained
         self._shapes = self._shape_table()  # raises on incompatible adjacent layers
 
@@ -167,19 +165,28 @@ class Network:
     def conv_layers(self) -> list[int]:
         return [i for i, s in enumerate(self.specs) if s.kind == "conv"]
 
+    @property
+    def masks(self) -> dict[int, np.ndarray]:
+        """For every conv layer, the live rows: those whose kernel or bias is
+        not all zero. A row that ``apply_mask`` dropped is zero, so reads False."""
+        live = {}
+        for l in self.conv_layers():
+            w, b = self.params[l]["w"].data, self.params[l]["b"].data
+            live[l] = w.reshape(len(b), -1).any(axis=1) | (b != 0)
+        return live
+
     def parameters(self):
         for idx in sorted(self.params):
             for name in ("w", "b"):
                 yield idx, name, self.params[idx][name]
 
     def copy(self) -> "Network":
-        """Deep copy: parameters and masks are new objects."""
+        """Deep copy: the parameters are new objects."""
         params = {idx: {k: Tensor(t.data.copy(), requires_grad=t.requires_grad)
                         for k, t in entry.items()}
                   for idx, entry in self.params.items()}
         return Network(self.specs, self.input_shape, self.num_classes,
-                       params=params, masks={k: v.copy() for k, v in self.masks.items()},
-                       trained=self.trained)
+                       params=params, trained=self.trained)
 
 
 def forward(net: Network, x: Tensor, tape: Optional[Tape] = None,
@@ -238,20 +245,20 @@ def forward_chunks(net: Network, x: np.ndarray, batch_size: int, start: int = 0,
 
 def apply_mask(net: Network, mask: ChannelMask) -> Network:
     """Zero the ``w`` and ``b`` rows of conv layer ``mask.layer`` that ``mask``
-    drops, so the layer's output planes there are exactly zero, and record in
-    ``masks`` the rows still kept: a row an earlier mask dropped stays dropped.
+    drops, so the layer's output planes there are exactly zero. A row that is
+    already zero stays zero, so ``masks[l]`` becomes ``mask.keep & masks[l]``.
     The layer's parameters are new; every other layer's are shared with ``net``.
     """
     _check_mask_fits(net, mask)
     l = mask.layer
-    keep = mask.keep & net.masks.get(l, True)
+    keep = mask.keep & net.masks[l]
     if not keep.any():
-        raise ShapeError(f"mask for layer {l} removes every channel its earlier mask kept")
+        raise ShapeError(f"mask for layer {l} removes every channel that is still live")
     params = dict(net.params)
     params[l] = {k: Tensor(np.where(keep.reshape(-1, *(1,) * (t.data.ndim - 1)), t.data, 0.0),
                            requires_grad=t.requires_grad) for k, t in params[l].items()}
     return Network(net.specs, net.input_shape, net.num_classes, params=params,
-                   masks={**net.masks, l: keep}, trained=net.trained)
+                   trained=net.trained)
 
 
 def _check_mask_fits(net: Network, mask: ChannelMask) -> None:
@@ -263,7 +270,7 @@ def _check_mask_fits(net: Network, mask: ChannelMask) -> None:
 
 def shrink_layer(net: Network, mask: ChannelMask) -> Network:
     """Remove the channels ``mask`` drops from conv layer ``mask.layer``: its
-    output rows and mask entry's, and the next conv's input slice or the next
+    output rows, and the next conv's input slice or the next
     dense layer's rows (a flatten groups them per channel). Shares the rest."""
     _check_mask_fits(net, mask)
     l = mask.layer
@@ -280,19 +287,17 @@ def shrink_layer(net: Network, mask: ChannelMask) -> Network:
             w = w.reshape(len(mask.keep), -1, w.shape[1])[kidx].reshape(-1, w.shape[1])
             specs[nxt] = replace(specs[nxt], in_features=w.shape[0])
         params[nxt] = {**params[nxt], "w": Tensor(w, requires_grad=True)}
-    return Network(specs, net.input_shape, net.num_classes, params=params, trained=net.trained,
-                   masks={k: v[kidx] if k == l else v for k, v in net.masks.items()})
+    return Network(specs, net.input_shape, net.num_classes, params=params, trained=net.trained)
 
 
 def materialize(net: Network, masks: Sequence[ChannelMask]) -> Network:
-    """``shrink_layer`` applied to every conv layer, on a copy without masks."""
+    """``shrink_layer`` applied to every conv layer, on a copy."""
     by_layer = {m.layer: m for m in masks}
     convs = net.conv_layers()
     if sorted(by_layer) != convs:
         raise ShapeError(
             f"need exactly one mask per conv layer {convs}, got {sorted(by_layer)}")
     out = net.copy()
-    out.masks = {}
     for l in convs:
         out = shrink_layer(out, by_layer[l])
     return out

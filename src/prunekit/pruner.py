@@ -26,8 +26,7 @@ from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
                      joint_loss, reconstruction_loss)
 from .metrics import (CompressionStats, DivergenceError, PruneError, check_fits,
                       error_rate, evaluate)
-from .network import (ChannelMask, Network, apply_mask, forward, forward_chunks,
-                      shrink_layer)
+from .network import ChannelMask, Network, forward, forward_chunks, shrink_layer
 from .tensor import Tape, Tensor, backward, scatter_channels, softmax_cross_entropy
 
 MOMENTUM = 0.9  # of fine-tuning and baseline training
@@ -268,13 +267,11 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
 
 def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
-    """Plain SGD on the rows of one conv layer that its mask entry keeps; the
-    dropped rows, which ``apply_mask`` zeroed, and the baseline and every other
-    layer stay put. In ``prune_runs`` the layer is already shrunk, so its mask
-    keeps every row. Each epoch shuffles as ``Dataset.iter_batches`` does.
+    """Plain SGD on the live rows of one conv layer (``Network.masks``); its
+    all-zero rows, such as those ``apply_mask`` dropped, and the baseline and
+    every other layer stay put. In ``prune_runs`` the layer is already shrunk,
+    so every row is live. Each epoch shuffles as ``Dataset.iter_batches`` does.
     Returns the per-epoch loss curve."""
-    if layer not in net_pruned.masks:
-        raise PruneError(f"refit_layer: layer {layer} has no mask applied")
     keep = net_pruned.masks[layer]
     params = net_pruned.params[layer].values()
 
@@ -307,7 +304,7 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
     select, ``shrink_layer``, refit and advance the frozen activations, so
     later layers run on the shrunk net; then optionally fine-tune. Past the
     last conv layer the activations reach the train logits, which give the
-    masked train error. The swept net is returned without masks, so the final
+    masked train error. The swept net is the final one, so the final
     errors are the masked ones by construction, or after fine-tuning the last
     epoch's logged ones. ``net_base`` is not changed. The baseline's errors
     are computed once per call: the test error with one ``evaluate``, the
@@ -333,7 +330,7 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
             channels = net_base.specs[layer].out_channels
             sel = select_channels(delta, budget_for(channels, cfg.rate))
             mask = ChannelMask(layer, np.isin(np.arange(channels), sel.retained))
-            pruned = shrink_layer(apply_mask(pruned, mask), mask)  # all-true mask entry
+            pruned = shrink_layer(pruned, mask)
             selections[layer] = sel
             acts = replace(acts, retained=sel.retained)
             curves[layer] = refit_layer(pruned, layer, cfg, acts, rng)
@@ -346,7 +343,6 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                         evaluate(net_base, dataset, "test"))
         masked_test = evaluate(pruned, dataset, "test")
 
-        pruned.masks = {}  # every entry is all-true
         finetune_log: list[dict] = []
         final_train, final_test = masked_train, masked_test
         if cfg.finetune_epochs:

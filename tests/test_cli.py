@@ -120,8 +120,7 @@ class TestTrainEval:
 class TestSeedFlags:
     @pytest.mark.parametrize("command,flag", [
         ("train", "--seed"), ("train", "--data-seed"), ("prune", "--seed"),
-        ("prune", "--data-seed"), ("eval", "--data-seed"), ("ablation", "--seed"),
-        ("rate-sweep", "--seed"), ("rate-sweep", "--data-seed")])
+        ("prune", "--data-seed"), ("eval", "--data-seed"), ("rate-sweep", "--data-seed")])
     def test_negative_seed_names_the_flag(self, model_path, tmp_path, capsys, command, flag):
         # a negative seed once failed inside numpy with "expected non-negative
         # integer", naming no flag
@@ -286,13 +285,16 @@ class TestTables:
         ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--rate", "0"]),
         ("ablation", "ablation", [], ["--losses", "x"]),
         ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--finetune-epochs", "-1"]),
-        ("ablation", "ablation", [], ["--finetune-epochs", "-1"])],
-        ids=["rate-sweep", "ablation", "rate-sweep-finetune", "ablation-finetune"])
+        ("ablation", "ablation", [], ["--finetune-epochs", "-1"]),
+        ("rate-sweep", "rate_sweep", ["--rates", "0.3,0.6"], ["--seed", "-1"]),
+        ("ablation", "ablation", [], ["--seed", "-1"])],
+        ids=["rate-sweep", "ablation", "rate-sweep-finetune", "ablation-finetune",
+             "rate-sweep-seed", "ablation-seed"])
     def test_flag_that_every_row_replaces_is_not_read(self, model_path, tmp_path, command,
                                                       name, rows, unread):
         # rate-sweep --rate 0, ablation --losses x and either table's
-        # --finetune-epochs -1 once exited 1 with the error of a value that no
-        # row uses
+        # --finetune-epochs -1 or --seed -1 once exited 1 with the error of a
+        # value that no row uses
         tables = []
         for run, extra in enumerate(([], unread)):
             out = tmp_path / str(run)

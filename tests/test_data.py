@@ -193,6 +193,40 @@ class TestDatasetContainer:
             next(ds.iter_batches("test", 4, rng))
 
 
+def _reference_stats(train_images):
+    """Per-channel mean, and std floored at 1e-6, of ``train_images``."""
+    return (train_images.mean(axis=(0, 2, 3)),
+            np.maximum(train_images.std(axis=(0, 2, 3)), 1e-6))
+
+
+class TestDerivedStats:
+    def _assert_stats_of(self, ds, train_images):
+        mean, std = _reference_stats(train_images)
+        assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
+
+    def test_synth_dataset(self, tiny_dataset):
+        self._assert_stats_of(tiny_dataset, tiny_dataset.train_images)
+
+    def test_cifar_directory(self, tmp_path, rng):
+        _write_cifar_dir(tmp_path, rng)
+        ds = load_cifar10(str(tmp_path), train_cap=40, test_cap=5)
+        self._assert_stats_of(ds, ds.train_images)
+
+    def test_replaced_train_images_give_their_stats(self, tiny_dataset, rng):
+        x = rng.uniform(0.2, 0.6, size=(7, 3, 8, 8))
+        ds = replace(tiny_dataset, train_images=x, train_labels=tiny_dataset.train_labels[:7])
+        self._assert_stats_of(ds, x)
+        # the test split is normalized by the new train split's stats
+        m, s = ds.mean.reshape(1, -1, 1, 1), ds.std.reshape(1, -1, 1, 1)
+        np.testing.assert_array_equal(ds.normalized("test")[0], (ds.test_images - m) / s)
+
+    def test_empty_train_split_rejected(self, tiny_dataset):
+        # there is nothing to normalize by
+        with pytest.raises(DataError, match="train split is empty"):
+            replace(tiny_dataset, train_images=tiny_dataset.train_images[:0],
+                    train_labels=tiny_dataset.train_labels[:0])
+
+
 class TestDatasetBoundary:
     def test_test_images_of_another_shape_rejected(self, tiny_dataset):
         # once a ShapeError from forward on the first evaluate chunk
@@ -200,13 +234,6 @@ class TestDatasetBoundary:
             replace(tiny_dataset, test_images=tiny_dataset.test_images[:, :, :6, :6])
         with pytest.raises(DataError, match=r"test images are \[1, 8, 8\]"):
             replace(tiny_dataset, test_images=tiny_dataset.test_images[:, :1])
-
-    @pytest.mark.parametrize("stat", ["mean", "std"])
-    def test_stats_not_one_per_channel_rejected(self, tiny_dataset, stat):
-        # once numpy's bare "operands could not be broadcast" on the first batch
-        for bad in (np.ones(2), np.ones((3, 1)), np.float64(1.0)):
-            with pytest.raises(DataError, match=f"{stat} must be shaped \\(3,\\)"):
-                replace(tiny_dataset, **{stat: bad})
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_labels_not_1d_integers_rejected(self, tiny_dataset, split):

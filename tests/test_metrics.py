@@ -111,14 +111,12 @@ class TestEvaluate:
         perm = np.random.default_rng(0).permutation(len(tiny_dataset.test_images))
         shuffled = pk.Dataset(tiny_dataset.train_images, tiny_dataset.train_labels,
                               tiny_dataset.test_images[perm],
-                              tiny_dataset.test_labels[perm],
-                              tiny_dataset.mean, tiny_dataset.std, 3)
+                              tiny_dataset.test_labels[perm], 3)
         assert evaluate(trained_tiny, shuffled, "test") == err
 
     def test_empty_split_rejected(self, trained_tiny, tiny_dataset):
         empty = pk.Dataset(tiny_dataset.train_images, tiny_dataset.train_labels,
-                           tiny_dataset.test_images[:0], tiny_dataset.test_labels[:0],
-                           tiny_dataset.mean, tiny_dataset.std, 3)
+                           tiny_dataset.test_images[:0], tiny_dataset.test_labels[:0], 3)
         with pytest.raises(DataError, match="empty"):
             evaluate(trained_tiny, empty, "test")
 

@@ -140,7 +140,7 @@ class TestApplyMask:
             assert np.array_equal(t.data[keep], old[keep]) and not t.data[~keep].any(), name
         assert all(masked.params[i] is trained_tiny.params[i] for i in (0, 6))
         np.testing.assert_array_equal(masked.masks[2], keep)
-        assert trained_tiny.masks == {}
+        assert all(m.all() for m in trained_tiny.masks.values())
         assert [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()] == before
 
     def test_second_mask_cannot_revive_dropped_rows(self, trained_tiny):
@@ -155,6 +155,45 @@ class TestApplyMask:
         first = apply_mask(trained_tiny, ChannelMask(0, np.array([True, False, False, False])))
         with pytest.raises(ShapeError, match="layer 0 removes every channel"):
             apply_mask(first, ChannelMask(0, np.array([False, True, True, True])))
+
+
+class TestDerivedMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_masks_are_the_and_of_the_applied_keeps(self, trained_tiny, fuzz_dir, data):
+        # masks[l] is the AND of every keep applied to layer l, restricted to
+        # the rows still there, through copy, save/load, shrink_layer and materialize
+        convs = trained_tiny.conv_layers()
+        width = {l: trained_tiny.specs[l].out_channels for l in convs}
+
+        def keep_of(l, label):
+            return np.array(data.draw(st.lists(st.booleans(), min_size=width[l],
+                                               max_size=width[l]).filter(any), label=label))
+
+        def check(net, expect):
+            assert net.masks.keys() == expect.keys()
+            for l, keep in expect.items():
+                np.testing.assert_array_equal(net.masks[l], keep, err_msg=f"layer {l}")
+
+        expect = {l: np.ones(width[l], dtype=bool) for l in convs}
+        net = trained_tiny
+        for l in data.draw(st.lists(st.sampled_from(convs), max_size=4), label="layers"):
+            keep = keep_of(l, f"keep {l}")
+            if (keep & expect[l]).any():
+                net = apply_mask(net, ChannelMask(l, keep))
+                expect[l] = expect[l] & keep
+            else:
+                with pytest.raises(ShapeError, match=f"layer {l} removes every channel"):
+                    apply_mask(net, ChannelMask(l, keep))
+        check(net, expect)
+        check(net.copy(), expect)
+        save(net, fuzz_dir / "masked.prnk")
+        check(load(fuzz_dir / "masked.prnk"), expect)
+        cuts = {l: keep_of(l, f"cut {l}") for l in convs}
+        l = data.draw(st.sampled_from(convs), label="shrunk")
+        check(shrink_layer(net, ChannelMask(l, cuts[l])), {**expect, l: expect[l][cuts[l]]})
+        check(materialize(net, [ChannelMask(l, cut) for l, cut in cuts.items()]),
+              {l: expect[l][cut] for l, cut in cuts.items()})
 
 
 class TestMaterialize:
@@ -213,7 +252,8 @@ class TestMaterialize:
         step = trained_tiny
         for m in masks:
             step = shrink_layer(step, m)
-        assert out.specs == step.specs and out.masks == step.masks == {}
+        assert out.specs == step.specs
+        assert all(m.all() for net in (out, step) for m in net.masks.values())
         assert ([(i, n, t.data.tobytes()) for i, n, t in out.parameters()]
                 == [(i, n, t.data.tobytes()) for i, n, t in step.parameters()])
         assert [t.data.tobytes() for _, _, t in trained_tiny.parameters()] == before
@@ -352,7 +392,9 @@ class TestSerialization:
         masked = apply_mask(trained_tiny, ChannelMask(2, keep))
         save(masked, path)
         back = load(path)
-        assert back.trained and back.masks == {}
+        assert back.trained and back.masks.keys() == {0, 2}
+        assert back.masks[0].all()
+        np.testing.assert_array_equal(back.masks[2], keep)
         xb, _ = tiny_dataset.sample_batch("test", 8, rng)
         np.testing.assert_array_equal(forward(back, xb).data, forward(masked, xb).data)
 

@@ -9,7 +9,7 @@ from prunekit import pruner
 from prunekit.data import DataError, Dataset
 from prunekit.losses import LossWeights, correlation_loss, joint_loss, reconstruction_loss
 from prunekit.network import (ChannelMask, Network, apply_mask, conv, dense_layer,
-                              flatten_layer, forward, materialize, relu_layer, save)
+                              flatten_layer, forward, load, materialize, relu_layer, save)
 from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
                              frozen_activations, prune_model, refit_layer,
@@ -117,8 +117,8 @@ def _quadratic_toy():
     base.params[0]["b"].data[:] = 0.0
     imgs = np.full((1, 1, 1, 1), 0.5)
     labels = np.array([0])
-    ds = Dataset(imgs, labels, imgs.copy(), labels.copy(),
-                 mean=np.zeros(1), std=np.ones(1), num_classes=2)
+    ds = Dataset(imgs, labels, imgs.copy(), labels.copy(), num_classes=2)
+    ds.mean, ds.std = np.zeros(1), np.ones(1)  # the one pixel enters as it is
     return base, ds
 
 
@@ -146,11 +146,39 @@ class TestRefitLayer:
         # L_r = 0.5*((w-2)*x)^2 with x=0.5 -> grad = (w-2)*x*x = 0.25
         assert pruned.params[0]["w"].item() == pytest.approx(3.0 - eta * 0.25, abs=1e-12)
 
-    def test_requires_mask(self, trained_tiny, tiny_dataset):
+    def test_unmasked_net_moves_every_row(self, trained_tiny, tiny_dataset):
         unmasked = trained_tiny.copy()
-        acts = frozen_activations(trained_tiny, unmasked, 0, small_cfg(), tiny_dataset)
-        with pytest.raises(pk.pruner.PruneError, match="no mask"):
-            refit_layer(unmasked, 0, small_cfg(), acts, np.random.default_rng(0))
+        before = {n: t.data.copy() for n, t in unmasked.params[2].items()}
+        acts = frozen_activations(trained_tiny, unmasked, 2, small_cfg(), tiny_dataset)
+        refit_layer(unmasked, 2, small_cfg(), acts, np.random.default_rng(0))
+        for name, old in before.items():
+            new = unmasked.params[2][name].data
+            assert all(not np.array_equal(new[i], old[i]) for i in range(len(old))), name
+
+    def test_all_zero_baseline_row_stays_zero(self, trained_tiny, tiny_dataset):
+        # a row whose kernel and bias are exactly zero counts as dropped, masked or not
+        base = trained_tiny.copy()
+        for t in base.params[2].values():
+            t.data[1] = 0.0
+        pruned = base.copy()
+        acts = frozen_activations(base, pruned, 2, small_cfg(), tiny_dataset)
+        refit_layer(pruned, 2, small_cfg(), acts, np.random.default_rng(0))
+        assert not any(t.data[1].any() for t in pruned.params[2].values())
+        assert not np.array_equal(pruned.params[2]["w"].data, base.params[2]["w"].data)
+
+    def test_saved_masked_net_refits_as_the_unsaved_one(self, trained_tiny, tiny_dataset,
+                                                         tmp_path):
+        # the file holds the zeroed rows, from which the loaded net reads its masks
+        cfg = small_cfg(refit_epochs=2)
+        masked = apply_mask(trained_tiny,
+                            ChannelMask(2, np.array([True, False, True, True, False, True])))
+        save(masked, tmp_path / "m.prnk")
+        nets = [masked.copy(), load(tmp_path / "m.prnk")]
+        for net in nets:
+            acts = frozen_activations(trained_tiny, net, 2, cfg, tiny_dataset)
+            refit_layer(net, 2, cfg, acts, np.random.default_rng(0))
+        assert ([(i, n, t.data.tobytes()) for i, n, t in nets[1].parameters()]
+                == [(i, n, t.data.tobytes()) for i, n, t in nets[0].parameters()])
 
     def test_divergence_guard_triggers(self, trained_tiny, tiny_dataset, monkeypatch):
         monkeypatch.setattr(pruner, "DIVERGENCE_FACTOR", 0.01)
@@ -442,7 +470,7 @@ class TestShrunkSweep:
                 [[bd.l_r, bd.l_s, bd.l_c, bd.total] for bd in report.loss_curves[l]],
                 [[bd.l_r, bd.l_s, bd.l_c, bd.total] for bd in curve],
                 rtol=SWEEP_RTOL, atol=SWEEP_ATOL)
-        assert final.specs == ref.specs and final.masks == {}
+        assert final.specs == ref.specs and all(m.all() for m in final.masks.values())
         for (i, name, got), (_, _, want) in zip(final.parameters(), ref.parameters()):
             np.testing.assert_allclose(got.data, want.data, rtol=SWEEP_RTOL,
                                        atol=SWEEP_ATOL, err_msg=f"layer {i} {name}")
