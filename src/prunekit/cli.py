@@ -57,6 +57,8 @@ def _load_dataset(args) -> Dataset:
         return load_cifar10(args.data_dir,
                             train_cap=args.train_cap or None,
                             test_cap=args.test_cap or None)
+    if args.data_seed < 0:
+        raise ValueError(f"--data-seed must be >= 0, got {args.data_seed}")
     return synth_dataset(args.classes, args.per_class, image_size=args.image_size,
                          seed=args.data_seed)
 
@@ -283,9 +285,8 @@ def main(argv=None) -> int:
             argv = argv[:1] + extra + argv[1:]
         args = parser.parse_args(argv)
         # ablation and rate-sweep replace --seed in every row, so only train and prune read it
-        for key in ("seed", "data_seed") if args.fn in (cmd_train, cmd_prune) else ("data_seed",):
-            if vars(args).get(key, 0) < 0:
-                raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {vars(args)[key]}")
+        if args.fn in (cmd_train, cmd_prune) and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         # an overflow surfaces as one typed error from the finite checks of
         # joint_loss, error_rate, _check_divergence and channel_sensitivity
         with np.errstate(all="ignore"):

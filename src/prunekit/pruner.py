@@ -235,7 +235,7 @@ def _layer_backward(net_pruned: Network, layer: int, cfg: PruneConfig,
     on = cfg.enabled_losses
     with _only_layer_trainable(net_pruned, layer):
         tape = Tape()
-        f_base = Tensor(acts.f_base[idx]) if acts.f_base is not None else None
+        f_base = Tensor(acts.f_base[idx]) if on & {"r", "s"} else None
         f_pruned = forward(net_pruned, Tensor(acts.x_in[idx]), tape=tape, upto_layer=layer,
                            start=layer)
         if "c" in on:
@@ -265,14 +265,26 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     return channel_sensitivity(w, grad)
 
 
+def _score_first_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
+                       acts: FrozenActivations, rng: np.random.Generator) -> np.ndarray:
+    """``score_layer`` at the sweep's first conv layer, where the pruned net
+    is still the baseline: its map equals the baseline's, so r and s add only
+    the rounding gap between the cached map and a batch's, not a score. Scores
+    under c alone, or, with c off or weighted 0, zeros from the same draws."""
+    if "c" in cfg.enabled_losses and cfg.weights.beta:
+        return score_layer(net_pruned, layer, replace(cfg, enabled_losses=frozenset("c")),
+                           acts, rng)
+    for _ in range(cfg.selection_batches):
+        sample_indices(len(acts.labels), cfg.batch_size, rng)
+    return np.zeros(net_pruned.specs[layer].out_channels)
+
+
 def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
                 acts: FrozenActivations, rng: np.random.Generator) -> list[LossBreakdown]:
-    """Plain SGD on the live rows of one conv layer (``Network.masks``); its
-    all-zero rows, such as those ``apply_mask`` dropped, and the baseline and
-    every other layer stay put. In ``prune_runs`` the layer is already shrunk,
-    so every row is live. Each epoch shuffles as ``Dataset.iter_batches`` does.
+    """Plain SGD on every row of one conv layer, which ``prune_runs`` has
+    already shrunk to its retained channels; the baseline and every other
+    layer stay put. Each epoch shuffles as ``Dataset.iter_batches`` does.
     Returns the per-epoch loss curve."""
-    keep = net_pruned.masks[layer]
     params = net_pruned.params[layer].values()
 
     history: list[LossBreakdown] = []
@@ -281,7 +293,7 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
         for batches, idx in enumerate(epoch_indices(len(acts.labels), cfg.batch_size, rng), 1):
             bd = _layer_backward(net_pruned, layer, cfg, acts, idx)
             for t in params:
-                t.data[keep] -= cfg.eta * t.grad[keep]
+                t.data -= cfg.eta * t.grad
                 t.zero_grad()
             sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
         epoch_bd = LossBreakdown(*map(float, sums / batches))
@@ -302,7 +314,8 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                dataset: Dataset) -> Iterator[tuple[Network, PruneReport]]:
     """Prune ``net_base`` once per config, in order: per conv layer score,
     select, ``shrink_layer``, refit and advance the frozen activations, so
-    later layers run on the shrunk net; then optionally fine-tune. Past the
+    later layers run on the shrunk net; then optionally fine-tune. The first
+    conv layer is scored without r and s (``_score_first_layer``). Past the
     last conv layer the activations reach the train logits, which give the
     masked train error. The swept net is the final one, so the final
     errors are the masked ones by construction, or after fine-tuning the last
@@ -326,7 +339,8 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
 
         acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
         for layer, nxt in zip(convs, convs[1:] + [None]):
-            delta = score_layer(pruned, layer, cfg, acts, rng)
+            score = _score_first_layer if layer == convs[0] else score_layer
+            delta = score(pruned, layer, cfg, acts, rng)
             channels = net_base.specs[layer].out_channels
             sel = select_channels(delta, budget_for(channels, cfg.rate))
             mask = ChannelMask(layer, np.isin(np.arange(channels), sel.retained))

@@ -104,6 +104,14 @@ class TestTrainEval:
         assert err.startswith("error:") and f"outputs {output}" in err and "\n" not in err
         assert not out.exists()
 
+    def test_cifar_does_not_read_data_seed(self, model_path, tmp_path, capsys):
+        # the synthetic data's seed check once stopped a CIFAR run before its files
+        rc = main(["eval", "--model", str(model_path), "--data", "cifar",
+                   "--data-dir", str(tmp_path), "--data-seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: missing CIFAR batch file {tmp_path / 'data_batch_1.bin'}")
+
     def test_flag_defaults_are_train_baseline_defaults(self):
         args = build_parser().parse_args(["train", "--model", "m"])
         params = inspect.signature(train_baseline).parameters

@@ -10,8 +10,9 @@ ablation, rate-sweep, report and eval on 8x8 data; every file they write and
 each command's stdout (with the temporary directory replaced by a fixed name)
 get one line each. The masked path, which the sweep never takes, follows on
 the 12x12 reference net: the logits of a few seeded random mask patterns (as
-acceptance criterion 3 draws them), and one layer scored, masked and refit on a
-net with its first conv layer masked (sensitivities, kept rows, loss curve).
+acceptance criterion 3 draws them), and one layer scored, shrunk and refit on a
+net with its first conv layer masked (sensitivities, the refit layer's weight
+and bias, loss curve).
 Then the gradient suite's (name, worst relative error, passed) results over 3
 seeds get one line. The last line hashes all lines. Two checkouts whose
 manifest hashes agree produced byte-identical outputs. prunekit is imported
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -37,7 +39,7 @@ from prunekit.cli import main as cli_main  # noqa: E402
 from prunekit.gradcheck import run_suite  # noqa: E402
 from prunekit.metrics import ABLATION_COMBOS, loss_combo_label  # noqa: E402
 from prunekit.network import (ChannelMask, apply_mask, conv, dense_layer,  # noqa: E402
-                              flatten_layer, forward, maxpool, relu_layer)
+                              flatten_layer, forward, maxpool, relu_layer, shrink_layer)
 from prunekit.pruner import (budget_for, frozen_activations, refit_layer,  # noqa: E402
                              score_layer, select_channels)
 
@@ -80,8 +82,9 @@ def run_cli(tmp, digest) -> None:
 
 
 def run_masked(net, dataset, digest) -> None:
-    """Digest the masked-net logits of seeded mask patterns, then one masked
-    score, selection and refit of conv layer 3 of ``net``."""
+    """Digest the masked-net logits of seeded mask patterns, then one score,
+    selection, ``shrink_layer`` and refit of conv layer 3 of ``net`` with its
+    first conv layer masked."""
     for seed in range(5):
         r = np.random.default_rng(seed)
         masked = net
@@ -101,11 +104,11 @@ def run_masked(net, dataset, digest) -> None:
     delta = score_layer(pruned, 3, cfg, acts, rng)
     sel = select_channels(delta, budget_for(len(delta), cfg.rate))
     keep = np.isin(np.arange(len(delta)), sel.retained)
-    pruned = apply_mask(pruned, ChannelMask(3, keep))
-    curve = refit_layer(pruned, 3, cfg, acts, rng)
+    pruned = shrink_layer(pruned, ChannelMask(3, keep))
+    curve = refit_layer(pruned, 3, cfg, replace(acts, retained=sel.retained), rng)
     digest("masked/refit_l3.sensitivities", delta.tobytes())
     for name, t in sorted(pruned.params[3].items()):
-        digest(f"masked/refit_l3.{name}_kept", t.data[keep].tobytes())
+        digest(f"masked/refit_l3.{name}_kept", t.data.tobytes())
     digest("masked/refit_l3.curve", repr([vars(bd) for bd in curve]).encode())
 
 
