@@ -109,43 +109,70 @@ def synth_dataset(classes: int, per_class: int, image_size: int = 12, seed: int 
                   test_per_class: Optional[int] = None) -> Dataset:
     """Class-conditional structured 3-channel images: each class gets its own grating
     frequency/orientation, blob position, and channel emphasis, plus noise.
-    Deterministic for a fixed seed; label histograms are exactly uniform."""
+    Deterministic for a fixed seed; label histograms are exactly uniform.
+
+    The train split comes first, then the test split, each class by class. The
+    draw order is part of the contract, since it fixes every byte of the data:
+    per image, the grating phase (``uniform``), the blob's x and y jitter (one
+    ``normal`` pair), the amplitude (``uniform``), then its [3,H,W] noise
+    (``normal``). The draws run in one loop; the images are computed from them
+    all at once."""
     if classes < 2:
         raise DataError(f"need at least 2 classes, got {classes}")
     if per_class < 1 or image_size < 4:
         raise DataError("degenerate dataset size")
     if test_per_class is None:
         test_per_class = max(1, per_class // 5)
+    if test_per_class < 1:
+        raise DataError(f"test_per_class must be >= 1, got {test_per_class}")
     rng = np.random.default_rng(seed)
 
     yy, xx = np.meshgrid(np.linspace(0, 1, image_size), np.linspace(0, 1, image_size),
                          indexing="ij")
+    # class constants on axis 0 of [classes, count, H, W] maps
+    k = np.arange(classes).reshape(-1, 1, 1, 1)
+    freq = 1.5 + k
+    theta = np.pi * k / classes
+    u = xx * np.cos(theta) + yy * np.sin(theta)
+    cx = 0.5 + 0.28 * np.cos(2 * np.pi * k / classes)
+    cy = 0.5 + 0.28 * np.sin(2 * np.pi * k / classes)
+    ch_w = 0.65 + 0.35 * (np.arange(3) == (k[..., None] % 3))  # channel on the last axis
 
     def make(count_per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        images = np.zeros((classes * count_per_class, 3, image_size, image_size))
-        labels = np.zeros(classes * count_per_class, dtype=np.int64)
-        i = 0
-        for k in range(classes):
-            freq = 1.5 + k
-            theta = np.pi * k / classes
-            u = xx * np.cos(theta) + yy * np.sin(theta)
-            cx = 0.5 + 0.28 * np.cos(2 * np.pi * k / classes)
-            cy = 0.5 + 0.28 * np.sin(2 * np.pi * k / classes)
-            ch_w = 0.65 + 0.35 * (np.arange(3) == (k % 3))
-            for _ in range(count_per_class):
-                phase = rng.uniform(0, 2 * np.pi)
-                jx, jy = rng.normal(0, 0.09, size=2)
-                amp = rng.uniform(0.8, 1.2)
-                grating = 0.5 + 0.5 * np.sin(2 * np.pi * freq * u + phase)
-                blob = np.exp(-(((xx - cx - jx) ** 2 + (yy - cy - jy) ** 2)
-                                / (2 * 0.12 ** 2)))
-                base = 0.24 * grating + 0.32 * amp * blob
-                img = ch_w[:, None, None] * base[None]
-                img += rng.normal(0, 0.30, size=img.shape)
-                images[i] = np.clip(img, 0.0, 1.0)
-                labels[i] = k
-                i += 1
-        return images, labels
+        n = classes * count_per_class
+        images = np.empty((n, 3, image_size, image_size))
+        draws = np.empty((n, 4))  # phase, jx, jy, amp
+        for i in range(n):
+            draws[i, 0] = rng.uniform(0, 2 * np.pi)
+            draws[i, 1:3] = rng.normal(0, 0.09, size=2)
+            draws[i, 3] = rng.uniform(0.8, 1.2)
+            images[i] = rng.normal(0, 0.30, size=images.shape[1:])
+        phase, jx, jy, amp = draws.T.reshape(4, classes, count_per_class, 1, 1)
+        # base = 0.24 * grating + 0.32 * amp * blob, where
+        #   grating = 0.5 + 0.5 * sin(2 pi freq u + phase)
+        #   blob = exp(-((xx - cx - jx)^2 + (yy - cy - jy)^2) / (2 * 0.12^2)),
+        # computed in place on two [classes, count, H, W] buffers, so that the
+        # set-up's transient memory stays small
+        base = 2 * np.pi * freq * u + phase
+        np.sin(base, out=base)
+        base *= 0.5
+        base += 0.5
+        base *= 0.24
+        blob = xx - cx - jx
+        np.square(blob, out=blob)
+        blob += np.square(yy - cy - jy)
+        blob /= 2 * 0.12 ** 2
+        np.negative(blob, out=blob)
+        np.exp(blob, out=blob)
+        blob *= 0.32 * amp
+        base += blob
+        # each image is ch_w * base plus its noise: add the structure into the
+        # noise one channel at a time
+        by_class = images.reshape(classes, count_per_class, 3, image_size, image_size)
+        for c in range(3):
+            by_class[:, :, c] += ch_w[..., c] * base
+        np.clip(images, 0.0, 1.0, out=images)
+        return images, np.repeat(np.arange(classes), count_per_class)
 
     train_images, train_labels = make(per_class)
     test_images, test_labels = make(test_per_class)

@@ -265,12 +265,22 @@ def score_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
     return channel_sensitivity(w, grad)
 
 
-def _score_first_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
-                       acts: FrozenActivations, rng: np.random.Generator) -> np.ndarray:
-    """``score_layer`` at the sweep's first conv layer, where the pruned net
-    is still the baseline: its map equals the baseline's, so r and s add only
-    the rounding gap between the cached map and a batch's, not a score. Scores
-    under c alone, or, with c off or weighted 0, zeros from the same draws."""
+def _baseline_prefix(net_base: Network, net_pruned: Network, layer: int) -> bool:
+    """Whether every layer before ``layer`` of ``net_pruned`` has the
+    baseline's spec and bit-equal parameters, as before the sweep's first conv
+    layer, or past layers that kept every channel and whose refit left them."""
+    return net_pruned.specs[:layer] == net_base.specs[:layer] and all(
+        t.data.tobytes() == net_base.params[i][name].data.tobytes()
+        for i, name, t in net_pruned.parameters() if i < layer)
+
+
+def _score_on_baseline_prefix(net_pruned: Network, layer: int, cfg: PruneConfig,
+                              acts: FrozenActivations,
+                              rng: np.random.Generator) -> np.ndarray:
+    """``score_layer`` at a conv layer behind a ``_baseline_prefix``: the
+    layer's map equals the baseline's, so r and s add only the rounding gap
+    between the cached map and a batch's, not a score. Scores under c alone,
+    or, with c off or weighted 0, zeros from the same draws."""
     if "c" in cfg.enabled_losses and cfg.weights.beta:
         return score_layer(net_pruned, layer, replace(cfg, enabled_losses=frozenset("c")),
                            acts, rng)
@@ -314,8 +324,9 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
                dataset: Dataset) -> Iterator[tuple[Network, PruneReport]]:
     """Prune ``net_base`` once per config, in order: per conv layer score,
     select, ``shrink_layer``, refit and advance the frozen activations, so
-    later layers run on the shrunk net; then optionally fine-tune. The first
-    conv layer is scored without r and s (``_score_first_layer``). Past the
+    later layers run on the shrunk net; then optionally fine-tune. A conv
+    layer whose earlier layers are still the baseline's, the first one always,
+    is scored without r and s (``_score_on_baseline_prefix``). Past the
     last conv layer the activations reach the train logits, which give the
     masked train error. The swept net is the final one, so the final
     errors are the masked ones by construction, or after fine-tuning the last
@@ -339,7 +350,8 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
 
         acts = frozen_activations(net_base, pruned, convs[0], cfg, dataset)
         for layer, nxt in zip(convs, convs[1:] + [None]):
-            score = _score_first_layer if layer == convs[0] else score_layer
+            score = (_score_on_baseline_prefix if _baseline_prefix(net_base, pruned, layer)
+                     else score_layer)
             delta = score(pruned, layer, cfg, acts, rng)
             channels = net_base.specs[layer].out_channels
             sel = select_channels(delta, budget_for(channels, cfg.rate))

@@ -257,23 +257,30 @@ def max_pool2d(x: Tensor, k: int, stride: int, tape: Optional[Tape] = None) -> T
     if k < 1 or stride < 1:
         raise ShapeError(f"max_pool2d: kernel {k} and stride {stride} must be >= 1")
     ho, wo = _window_out("max_pool2d", (h, wd), (k, k), stride)
+    # work on x in its memory order: the [C,H,W,B] view when the batch is
+    # innermost (as conv2d returns it), else [B,C,H,W]; out and gx keep it
+    perm, inv = (((1, 2, 3, 0), (3, 0, 1, 2)) if x.data.transpose(1, 2, 3, 0).flags.c_contiguous
+                 else ((0, 1, 2, 3), (0, 1, 2, 3)))
+    xv = x.data.transpose(perm)
+    lead = (slice(None),) * perm.index(2)
     # window position (i, j), row-major, of every output is one strided view of x
-    spans = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+    spans = [lead + (slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
              for i in range(k) for j in range(k)]
-    out_data = x.data[:, :, spans[0][0], spans[0][1]].copy(order="K")
-    for si, sj in spans[1:]:
-        np.maximum(out_data, x.data[:, :, si, sj], out=out_data)
-    out = Tensor(out_data)
+    out_v = xv[spans[0]].copy()
+    for span in spans[1:]:
+        np.maximum(out_v, xv[span], out=out_v)
+    out = Tensor(out_v.transpose(inv))
     if tape is not None:
         def bw(g):
             # the gradient goes to the first window position holding the max
-            gx = np.zeros_like(x.data)
-            taken = np.zeros(out_data.shape, dtype=bool)
-            for si, sj in spans:
-                sel = (x.data[:, :, si, sj] == out_data) & ~taken
+            gv = np.ascontiguousarray(g.transpose(perm))
+            gxv = np.zeros(xv.shape)
+            taken = np.zeros(out_v.shape, dtype=bool)
+            for span in spans:
+                sel = (xv[span] == out_v) & ~taken
                 taken |= sel
-                gx[:, :, si, sj] += sel * g
-            return (gx,)
+                gxv[span] += sel * gv
+            return (gxv.transpose(inv),)
         tape.record(out, (x,), bw)
     return out
 

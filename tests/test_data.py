@@ -3,11 +3,86 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prunekit as pk
 from prunekit.cli import main
 from prunekit.data import (CIFAR_BATCH_RECORDS, CIFAR_RECORD, DataError, epoch_indices,
                            load_cifar10, sample_indices, synth_dataset)
+
+
+def _reference_synth(classes, per_class, image_size, seed, test_per_class):
+    """``synth_dataset``'s images and labels built one image per iteration, in
+    the draw order of its contract: (train images, train labels, test images,
+    test labels)."""
+    if test_per_class is None:
+        test_per_class = max(1, per_class // 5)
+    rng = np.random.default_rng(seed)
+
+    yy, xx = np.meshgrid(np.linspace(0, 1, image_size), np.linspace(0, 1, image_size),
+                         indexing="ij")
+
+    def make(count_per_class):
+        images = np.zeros((classes * count_per_class, 3, image_size, image_size))
+        labels = np.zeros(classes * count_per_class, dtype=np.int64)
+        i = 0
+        for k in range(classes):
+            freq = 1.5 + k
+            theta = np.pi * k / classes
+            u = xx * np.cos(theta) + yy * np.sin(theta)
+            cx = 0.5 + 0.28 * np.cos(2 * np.pi * k / classes)
+            cy = 0.5 + 0.28 * np.sin(2 * np.pi * k / classes)
+            ch_w = 0.65 + 0.35 * (np.arange(3) == (k % 3))
+            for _ in range(count_per_class):
+                phase = rng.uniform(0, 2 * np.pi)
+                jx, jy = rng.normal(0, 0.09, size=2)
+                amp = rng.uniform(0.8, 1.2)
+                grating = 0.5 + 0.5 * np.sin(2 * np.pi * freq * u + phase)
+                blob = np.exp(-(((xx - cx - jx) ** 2 + (yy - cy - jy) ** 2)
+                                / (2 * 0.12 ** 2)))
+                base = 0.24 * grating + 0.32 * amp * blob
+                img = ch_w[:, None, None] * base[None]
+                img += rng.normal(0, 0.30, size=img.shape)
+                images[i] = np.clip(img, 0.0, 1.0)
+                labels[i] = k
+                i += 1
+        return images, labels
+
+    return make(per_class) + make(test_per_class)
+
+
+def _assert_synth_equals_reference(classes, per_class, image_size, seed, test_per_class):
+    ds = synth_dataset(classes, per_class, image_size=image_size, seed=seed,
+                       test_per_class=test_per_class)
+    got = (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels)
+    want = _reference_synth(classes, per_class, image_size, seed, test_per_class)
+    for name, a, b in zip(("train images", "train labels", "test images", "test labels"),
+                          got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    mean, std = _reference_stats(want[0])
+    assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
+
+
+class TestSynthOracle:
+    """``synth_dataset`` computes its images from all draws at once; every byte
+    equals the one-image-at-a-time reference."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(classes=st.integers(2, 5), per_class=st.integers(1, 12),
+           test_per_class=st.one_of(st.none(), st.integers(1, 5)),
+           image_size=st.integers(4, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_image_reference(self, classes, per_class, test_per_class,
+                                        image_size, seed):
+        _assert_synth_equals_reference(classes, per_class, image_size, seed, test_per_class)
+
+    @pytest.mark.parametrize("classes,per_class,image_size,seed,test_per_class", [
+        (10, 6, 32, 0, 2),     # CIFAR-sized images
+        (3, 200, 12, 0, 80),   # the acceptance set
+    ])
+    def test_fixed_cases(self, classes, per_class, image_size, seed, test_per_class):
+        _assert_synth_equals_reference(classes, per_class, image_size, seed, test_per_class)
 
 
 class TestSynthDataset:
@@ -40,6 +115,10 @@ class TestSynthDataset:
             synth_dataset(3, 0)
         with pytest.raises(DataError):
             synth_dataset(3, 10, image_size=2)
+        # -1 once raised numpy's untyped error; 0 gave an empty test split
+        for test_per_class in (0, -1):
+            with pytest.raises(DataError, match="test_per_class must be >= 1"):
+                synth_dataset(3, 10, test_per_class=test_per_class)
 
     def test_learnable_by_reference_network(self):
         # the reference CNN should reach < 10% test error within 30 epochs

@@ -296,7 +296,8 @@ class TestPruneModel:
 
 class TestFirstConvLayerScore:
     """When the sweep scores its first conv layer, the pruned net is still
-    the baseline, so r and s score nothing there."""
+    the baseline, so r and s score nothing there; the same holds at a later
+    conv layer behind a baseline prefix (see ``TestShrunkSweep``)."""
 
     def test_r_scores_exact_zeros_and_keeps_the_first_channels(self):
         # the cached baseline map and the batch's map once came from GEMMs that
@@ -317,7 +318,7 @@ class TestFirstConvLayerScore:
         cfg = small_cfg(enabled_losses=losses, weights=LossWeights(0.5, beta))
         acts = frozen_activations(trained_tiny, trained_tiny, 0, cfg, tiny_dataset)
         rngs = [np.random.default_rng(0), np.random.default_rng(0)]
-        delta = pruner._score_first_layer(trained_tiny.copy(), 0, cfg, acts, rngs[0])
+        delta = pruner._score_on_baseline_prefix(trained_tiny.copy(), 0, cfg, acts, rngs[0])
         score_layer(trained_tiny.copy(), 0, cfg, acts, rngs[1])
         np.testing.assert_array_equal(delta, np.zeros(4))
         assert rngs[0].random() == rngs[1].random()
@@ -606,14 +607,29 @@ class TestShrunkSweep:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(chain=_random_chains())
     def test_random_chain_equals_reference_prune(self, chain):
-        # without the first-layer rule the sweep kept other channels than this
-        # reference on 6 of these chains, all under s alone
+        # without the baseline-prefix rule at the first conv layer, the sweep
+        # kept other channels than this reference on 6 of these chains, all
+        # under s alone
         specs, dataset, cfg = chain
         net = Network.initialize(specs, dataset.image_shape, dataset.num_classes,
                                  np.random.default_rng(cfg.seed))
         train_baseline(net, dataset, 1, eta=0.02, batch_size=cfg.batch_size, seed=cfg.seed)
         with np.errstate(all="ignore"):  # eta 1.0 overflows on some chains
             _assert_equals_reference(net, cfg, dataset, rtol=SWEEP_RTOL, atol=SWEEP_ATOL)
+
+    def test_later_layer_behind_baseline_prefix_equals_reference_prune(self):
+        # layer 0 keeps both channels and its r,s refit leaves it bit-equal, so
+        # layer 2's map is still the baseline's; r and s once scored it by
+        # rounding noise (<= 1.7e-39) and kept [0, 1, 2, 3, 5]
+        specs = [conv(3, 2), relu_layer(), conv(2, 6), relu_layer(), maxpool(),
+                 flatten_layer(), dense_layer(54, 3)]
+        ds = pk.synth_dataset(3, 10, image_size=6, seed=0)
+        net = Network.initialize(specs, ds.image_shape, 3, np.random.default_rng(0))
+        train_baseline(net, ds, epochs=3, eta=0.02, seed=0)
+        cfg = PruneConfig(rate=0.2, enabled_losses="rs", batch_size=3, selection_batches=2,
+                          refit_epochs=1, seed=0)
+        final, _ = _assert_equals_reference(net, cfg, ds, rtol=SWEEP_RTOL, atol=SWEEP_ATOL)
+        assert final.specs[2].out_channels == 5
 
     def test_baseline_parameters_unchanged(self, trained_tiny, tiny_dataset):
         before = [(i, n, t.data.tobytes()) for i, n, t in trained_tiny.parameters()]

@@ -255,13 +255,15 @@ class TestSimpleOps:
         np.testing.assert_array_equal(out.data.reshape(2, 2), [[5, 7], [13, 15]])
 
     @pytest.mark.parametrize("k,stride,size", [(2, 2, 6), (3, 1, 5), (3, 2, 7)])
-    @pytest.mark.parametrize("values", ["random", "constant", "few_levels"])
-    def test_max_pool_matches_loop_oracle(self, rng, k, stride, size, values):
+    @pytest.mark.parametrize("values,layout", [
+        pytest.param(v, layout, id=v if layout == "row_major" else f"{v}-{layout}")
+        for layout in sorted(LAYOUTS) for v in ("random", "constant", "few_levels")])
+    def test_max_pool_matches_loop_oracle(self, rng, k, stride, size, values, layout):
         # constant and few-level inputs tie inside windows; k > stride overlaps them
         x = {"random": rng.standard_normal((2, 3, size, size)),
              "constant": np.full((2, 3, size, size), 0.5),
              "few_levels": rng.integers(0, 3, size=(2, 3, size, size)).astype(float)}[values]
-        xt = Tensor(x, requires_grad=True)
+        xt = Tensor(LAYOUTS[layout](x), requires_grad=True)
         tape = Tape()
         out = max_pool2d(xt, k, stride, tape)
         g = rng.standard_normal(out.shape)
@@ -269,6 +271,10 @@ class TestSimpleOps:
         np.testing.assert_array_equal(out.data, expect_out)
         backward(dot(out, g, tape), tape)
         np.testing.assert_allclose(xt.grad, expect_gx, rtol=0, atol=1e-12)
+        # out and gx keep the input's memory order
+        (gx,) = tape.nodes[0].backward_fn(g)
+        for a in (out.data, gx):
+            assert a.transpose(1, 2, 3, 0).flags.c_contiguous == (layout == "batch_innermost")
 
     def test_pool_window_larger_than_input(self):
         with pytest.raises(ShapeError, match="max_pool2d: non-integral"):
