@@ -9,12 +9,13 @@ import inspect
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import gradcheck, metrics
 from .data import DataError, Dataset, load_cifar10, synth_dataset
-from .losses import LOSS_KEYS, LossWeights
+from .losses import LOSS_KEYS
 from .network import Network, load, reference_specs, save
 from .pruner import PruneConfig, prune_model, prune_runs, train_baseline
 
@@ -63,29 +64,27 @@ def _load_dataset(args) -> Dataset:
                          seed=args.data_seed)
 
 
-# PruneConfig fields that each map onto one flag; rate, weights and enabled_losses parse their own
-_PRUNE_FLAGS = ("eta", "selection_batches", "refit_epochs", "finetune_epochs", "batch_size",
-                "seed")
+def _loss_set(text: str) -> frozenset:
+    return frozenset(p.strip() for p in text.split(",") if p.strip())
 
 
 def _add_prune_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=0.3)  # PruneConfig.rate has no default
-    p.add_argument("--alpha", type=float, default=PruneConfig.weights.alpha)
-    p.add_argument("--beta", type=float, default=PruneConfig.weights.beta)
-    p.add_argument("--losses", help=f"comma-separated subset of {','.join(LOSS_KEYS)}",
-                   default=",".join(k for k in LOSS_KEYS if k in PruneConfig.enabled_losses))
-    for name in _PRUNE_FLAGS:
-        default = getattr(PruneConfig, name)
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    """One flag per ``PruneConfig`` field, in field order, with its default."""
+    for f in fields(PruneConfig):
+        if f.name == "enabled_losses":  # argparse runs the string default through type
+            p.add_argument("--losses", dest=f.name, metavar="LOSSES", type=_loss_set,
+                           help=f"comma-separated subset of {','.join(LOSS_KEYS)}",
+                           default=",".join(k for k in LOSS_KEYS if k in f.default))
+        else:
+            default = 0.3 if f.name == "rate" else f.default  # rate has no config default
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default)
 
 
 def _prune_config(args, **row) -> PruneConfig:
     """The config the prune flags give, with ``row``'s fields in place of
     theirs; ``PruneConfig`` checks only the values it gets."""
-    return PruneConfig(**{
-        "rate": args.rate, "weights": LossWeights(args.alpha, args.beta),
-        "enabled_losses": frozenset(p.strip() for p in args.losses.split(",") if p.strip()),
-        **{name: getattr(args, name) for name in _PRUNE_FLAGS}, **row})
+    return PruneConfig(**{**{f.name: getattr(args, f.name) for f in fields(PruneConfig)},
+                          **row})
 
 
 def _masked_table(args, name: str, key: str, rows: list[tuple], columns: list[str]) -> int:

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .losses import LossWeights, correlation_loss, joint_loss, reconstruction_loss
+from .losses import correlation_loss, joint_loss, reconstruction_loss
 from .tensor import Tape, Tensor, backward
 
 STEP = 1e-4  # central-difference step
@@ -89,7 +89,7 @@ def suite_cases() -> dict:
             total, _ = joint_loss(reconstruction_loss(fb, fp, tape),
                                   correlation_loss(fb, fp, tape),
                                   T.softmax_cross_entropy(logits, labels, tape),
-                                  LossWeights(0.5, 1.5), frozenset("rsc"), tape)
+                                  0.5, 1.5, frozenset("rsc"), tape)
             return total
         return loss, [fp, logits]
 

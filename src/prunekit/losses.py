@@ -15,6 +15,7 @@ constant target, like the labels of ``softmax_cross_entropy``: only F' gets a
 gradient. Each loss, ``joint_loss`` included, records one tape node with its
 own backward rule: ``joint_loss`` adds the enabled terms, each times its
 weight (1.0 for r, alpha for s, beta for c), left to right in r, s, c order.
+alpha and beta are run settings, the ``PruneConfig`` fields of those names.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from .tensor import ShapeError, Tape, Tensor
 LOSS_KEYS = ("r", "s", "c")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Coefficients of the correlation (alpha) and classification (beta) terms."""
-    alpha: float = 0.001
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
-            raise ValueError(f"loss weights must be finite and nonnegative, got {self}")
+def check_weights(alpha: float, beta: float) -> None:
+    """Reject a negative or non-finite alpha (correlation) or beta
+    (classification) weight."""
+    if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):
+        raise ValueError(f"loss weights must be finite and nonnegative, "
+                         f"got alpha {alpha}, beta {beta}")
 
 
 @dataclass
@@ -107,14 +105,16 @@ def correlation_loss(f_base: Tensor, f_pruned: Tensor,
 
 
 def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tensor],
-               w: LossWeights, enabled: frozenset | set = frozenset(LOSS_KEYS),
+               alpha: float, beta: float, enabled: frozenset | set = frozenset(LOSS_KEYS),
                tape: Optional[Tape] = None) -> tuple[Tensor, LossBreakdown]:
     """Weighted fusion over the enabled terms; disabled terms contribute zero.
 
     Returns the differentiable total and the per-term breakdown. A term passed
     as None (callers skip computing disabled ones) is reported as 0.0. A
-    non-finite term raises ``DivergenceError``.
+    non-finite term raises ``DivergenceError``, a negative or non-finite
+    weight ``ValueError``.
     """
+    check_weights(alpha, beta)
     enabled = frozenset(enabled)
     if not enabled:
         raise ValueError("joint_loss: no loss terms enabled")
@@ -127,7 +127,7 @@ def joint_loss(l_r: Optional[Tensor], l_s: Optional[Tensor], l_c: Optional[Tenso
 
     # -0.0 is the exact identity of + (0.0 + -0.0 is 0.0), and x * 1.0 is x
     terms, coefs, value = [], [], -0.0
-    for key, term, coef in (("r", l_r, 1.0), ("s", l_s, w.alpha), ("c", l_c, w.beta)):
+    for key, term, coef in (("r", l_r, 1.0), ("s", l_s, alpha), ("c", l_c, beta)):
         if key not in enabled:
             continue
         if term is None:

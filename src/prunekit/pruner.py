@@ -16,13 +16,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .data import Dataset, epoch_indices, sample_indices
-from .losses import (LOSS_KEYS, LossBreakdown, LossWeights, correlation_loss,
+from .losses import (LOSS_KEYS, LossBreakdown, check_weights, correlation_loss,
                      joint_loss, reconstruction_loss)
 from .metrics import (CompressionStats, DivergenceError, PruneError, check_fits,
                       error_rate, evaluate)
@@ -37,17 +37,27 @@ class UntrainedBaselineError(PruneError):
     """The baseline model is not flagged as trained."""
 
 
+def _check_count(name: str, value: int, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PruneConfig:
+    """One prune run's settings. Each field is a ``prunekit prune`` flag of
+    its name (``enabled_losses`` is ``--losses``) and a key of report.json's
+    ``config`` (``enabled_losses`` is ``losses``, a string in r, s, c order)."""
     rate: float
-    weights: LossWeights = LossWeights()
+    alpha: float = 0.001
+    beta: float = 1.0
+    enabled_losses: frozenset = frozenset("rsc")
     eta: float = 0.01
     selection_batches: int = 10
     refit_epochs: int = 20
     finetune_epochs: int = 0
-    enabled_losses: frozenset = frozenset("rsc")
-    seed: int = 0
     batch_size: int = 32
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "enabled_losses", frozenset(self.enabled_losses))
@@ -56,22 +66,20 @@ class PruneConfig:
         unknown = self.enabled_losses - set(LOSS_KEYS)
         if unknown:
             raise ValueError(f"enabled_losses: unknown loss keys {sorted(unknown)}")
-        on, w = self.enabled_losses, self.weights
-        if not ("r" in on or ("s" in on and w.alpha) or ("c" in on and w.beta)):
+        check_weights(self.alpha, self.beta)
+        on = self.enabled_losses
+        if not ("r" in on or ("s" in on and self.alpha) or ("c" in on and self.beta)):
             # every sensitivity would be 0 and each layer would keep channels 0..K-1
             raise ValueError(f"every enabled loss term has zero weight: losses "
                              f"{','.join(k for k in LOSS_KEYS if k in on)}, "
-                             f"alpha {w.alpha}, beta {w.beta}")
+                             f"alpha {self.alpha}, beta {self.beta}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"pruning rate must be in (0,1), got {self.rate}")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
-        if self.selection_batches < 1:
-            raise ValueError("selection_batches must be positive")
-        if self.refit_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("selection_batches", 1), ("refit_epochs", 0),
+                          ("finetune_epochs", 0), ("batch_size", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), low)
 
 
 @dataclass
@@ -83,7 +91,7 @@ class ChannelSelection:
 
 @dataclass
 class PruneReport:
-    config: dict
+    config: PruneConfig
     baseline_train_error: float
     baseline_test_error: float
     masked_train_error: float
@@ -96,8 +104,11 @@ class PruneReport:
     finetune_log: list[dict]
 
     def to_json(self) -> str:
+        config = asdict(self.config)
+        losses = config.pop("enabled_losses")
+        config["losses"] = "".join(k for k in LOSS_KEYS if k in losses)
         doc = {
-            "config": self.config,
+            "config": config,
             "errors": {
                 "baseline": {"train": self.baseline_train_error,
                              "test": self.baseline_test_error},
@@ -106,21 +117,10 @@ class PruneReport:
                 "final": {"train": self.final_train_error,
                           "test": self.final_test_error},
             },
-            "layers": {
-                str(l): {
-                    "budget": sel.budget,
-                    "retained": list(sel.retained),
-                    "sensitivities": [float(v) for v in sel.sensitivities],
-                } for l, sel in self.selections.items()
-            },
-            "compression": {
-                "params_before": self.stats.params_before,
-                "params_after": self.stats.params_after,
-                "param_ratio": self.stats.param_ratio,
-                "flops_before": self.stats.flops_before,
-                "flops_after": self.stats.flops_after,
-                "flops_ratio": self.stats.flops_ratio,
-            },
+            "layers": {str(l): {**vars(sel), "sensitivities": sel.sensitivities.tolist()}
+                       for l, sel in self.selections.items()},
+            "compression": {**asdict(self.stats), "param_ratio": self.stats.param_ratio,
+                            "flops_ratio": self.stats.flops_ratio},
             "finetune_log": self.finetune_log,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -130,10 +130,9 @@ class PruneReport:
             path = os.path.join(str(out_dir), f"layer_{l}_losses.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["epoch", "l_r", "l_s", "l_c", "total"])
-                for epoch, bd in enumerate(curve):
-                    writer.writerow([epoch, repr(bd.l_r), repr(bd.l_s),
-                                     repr(bd.l_c), repr(bd.total)])
+                writer.writerow(["epoch", *(f.name for f in fields(LossBreakdown))])
+                writer.writerows([epoch, *map(repr, astuple(bd))]
+                                 for epoch, bd in enumerate(curve))
 
 
 def budget_for(channels: int, rate: float) -> int:
@@ -245,7 +244,7 @@ def _layer_backward(net_pruned: Network, layer: int, cfg: PruneConfig,
         l_r = reconstruction_loss(f_base, f_cmp, tape) if "r" in on else None
         l_s = correlation_loss(f_base, f_cmp, tape) if "s" in on else None
         l_c = softmax_cross_entropy(logits, acts.labels[idx], tape) if "c" in on else None
-        total, bd = joint_loss(l_r, l_s, l_c, cfg.weights, on, tape)
+        total, bd = joint_loss(l_r, l_s, l_c, cfg.alpha, cfg.beta, on, tape)
         backward(total, tape)
     return bd
 
@@ -281,7 +280,7 @@ def _score_on_baseline_prefix(net_pruned: Network, layer: int, cfg: PruneConfig,
     layer's map equals the baseline's, so r and s add only the rounding gap
     between the cached map and a batch's, not a score. Scores under c alone,
     or, with c off or weighted 0, zeros from the same draws."""
-    if "c" in cfg.enabled_losses and cfg.weights.beta:
+    if "c" in cfg.enabled_losses and cfg.beta:
         return score_layer(net_pruned, layer, replace(cfg, enabled_losses=frozenset("c")),
                            acts, rng)
     for _ in range(cfg.selection_batches):
@@ -299,13 +298,13 @@ def refit_layer(net_pruned: Network, layer: int, cfg: PruneConfig,
 
     history: list[LossBreakdown] = []
     for _ in range(cfg.refit_epochs):
-        sums = np.zeros(4)
+        sums = np.zeros(len(fields(LossBreakdown)))
         for batches, idx in enumerate(epoch_indices(len(acts.labels), cfg.batch_size, rng), 1):
             bd = _layer_backward(net_pruned, layer, cfg, acts, idx)
             for t in params:
                 t.data -= cfg.eta * t.grad
                 t.zero_grad()
-            sums += (bd.l_r, bd.l_s, bd.l_c, bd.total)
+            sums += astuple(bd)
         epoch_bd = LossBreakdown(*map(float, sums / batches))
         history.append(epoch_bd)
         _check_divergence(f"refit of layer {layer}", epoch_bd.total, history[0].total)
@@ -377,13 +376,8 @@ def prune_runs(net_base: Network, cfgs: Iterable[PruneConfig],
             final_train, final_test = (finetune_log[-1]["train_error"],
                                        finetune_log[-1]["test_error"])
         pruned.trained = True
-
-        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        weights, losses = config.pop("weights"), config.pop("enabled_losses")
-        config.update(alpha=weights.alpha, beta=weights.beta,
-                      losses="".join(k for k in LOSS_KEYS if k in losses))
         yield pruned, PruneReport(
-            config=config,
+            config=cfg,
             baseline_train_error=baseline[0],
             baseline_test_error=baseline[1],
             masked_train_error=masked_train,
@@ -410,10 +404,10 @@ def fine_tune(net: Network, dataset: Dataset, epochs: int, eta: float = 0.01,
     under the cross-entropy loss; diverging epochs raise (``_check_divergence``).
     Returns a per-epoch log of mean loss and train/test error."""
     check_fits(net, dataset)
+    _check_count("epochs", epochs, 0)
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"learning rate must be finite and >= 0, got {eta}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_count("batch_size", batch_size, 1)
     rng = np.random.default_rng(seed)
     velocity = {(idx, name): np.zeros_like(t.data) for idx, name, t in net.parameters()}
     log: list[dict] = []

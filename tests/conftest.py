@@ -1,8 +1,37 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 import prunekit as pk
 from prunekit import tensor as T
+from prunekit.losses import LOSS_KEYS
+
+# one strategy per PruneConfig field: a new field fails prune_configs until it has one
+_FIELD_VALUES = {
+    "rate": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "alpha": st.floats(0.0, 1e6),
+    "beta": st.floats(0.0, 1e6),
+    "enabled_losses": st.sets(st.sampled_from(LOSS_KEYS), min_size=1).map(frozenset),
+    "eta": st.floats(0.0, 1e6),
+    "selection_batches": st.integers(1, 10**6),
+    "refit_epochs": st.integers(0, 10**6),
+    "finetune_epochs": st.integers(0, 10**6),
+    "batch_size": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+}
+
+
+@st.composite
+def prune_configs(draw):
+    """Any valid ``PruneConfig``, every field drawn."""
+    try:
+        return pk.PruneConfig(**{f.name: draw(_FIELD_VALUES[f.name])
+                                 for f in fields(pk.PruneConfig)})
+    except ValueError:  # every enabled term weighted 0
+        reject()
 
 
 @pytest.fixture

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prunekit as pk
-from prunekit.cli import _PRUNE_FLAGS, _prune_config, build_parser, main, read_config
+from prunekit.cli import _prune_config, build_parser, main, read_config
 from prunekit.pruner import PruneConfig, train_baseline
-from tests.conftest import break_rule
+from tests.conftest import break_rule, prune_configs
 
 FAST_DATA = ["--classes", "3", "--per-class", "20", "--image-size", "8"]
 FAST_PRUNE = ["--selection-batches", "2", "--refit-epochs", "1", "--batch-size", "16"]
@@ -145,9 +145,18 @@ class TestPrune:
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["prune", "--model", "m", "--out", "o"])
         assert _prune_config(args) == PruneConfig(rate=0.3)
-        # a new PruneConfig field needs a flag
-        assert ({f.name for f in fields(PruneConfig)}
-                == {"rate", "weights", "enabled_losses", *_PRUNE_FLAGS})
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(prune_configs())
+    def test_flags_of_a_config_give_it_back(self, cfg):
+        flags = []
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            flags += (["--losses", ",".join(value)] if f.name == "enabled_losses"
+                      else ["--" + f.name.replace("_", "-"), repr(value)])
+        for command in ("prune", "ablation", "rate-sweep"):
+            args = build_parser().parse_args([command, "--model", "m", "--out", "o", *flags])
+            assert _prune_config(args) == cfg
 
     def test_reference_default_configuration(self, model_path, tmp_path):
         rc = main(["prune", "--model", str(model_path), "--out", str(tmp_path),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from prunekit.losses import (LossWeights, correlation_loss, joint_loss,
-                             reconstruction_loss)
+from prunekit.losses import correlation_loss, joint_loss, reconstruction_loss
 from prunekit.metrics import DivergenceError
+from prunekit.pruner import PruneConfig
 from prunekit.tensor import ShapeError, Tape, Tensor, backward
 
 
@@ -163,45 +163,48 @@ class TestClassificationLoss:
 
 class TestJointLoss:
     def test_alpha_beta_zero_reduces_to_reconstruction(self):
-        _, bd = joint_loss(Tensor(0.7), Tensor(3.0), Tensor(1.5), LossWeights(0.0, 0.0))
+        _, bd = joint_loss(Tensor(0.7), Tensor(3.0), Tensor(1.5), 0.0, 0.0)
         assert bd.total == pytest.approx(0.7, abs=1e-12)
 
     def test_reference_default_weights_arithmetic(self):
-        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), LossWeights(0.001, 1.0))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), 0.001, 1.0)
         assert bd.total == pytest.approx(1.703, abs=1e-12)
 
     def test_single_term_ablation_rows(self):
-        w = LossWeights(0.001, 1.0)
-        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("c"))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), 0.001, 1.0, frozenset("c"))
         assert bd.total == pytest.approx(1.5, abs=1e-12)
-        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), w, frozenset("s"))
+        _, bd = joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), 0.001, 1.0, frozenset("s"))
         assert bd.total == pytest.approx(0.003, abs=1e-12)
 
     def test_linear_in_each_term(self, rng):
-        w = LossWeights(0.4, 2.0)
+        w = 0.4, 2.0
         vals = rng.random(3)
-        _, bd = joint_loss(Tensor(vals[0]), Tensor(vals[1]), Tensor(vals[2]), w)
+        _, bd = joint_loss(Tensor(vals[0]), Tensor(vals[1]), Tensor(vals[2]), *w)
         assert bd.total == pytest.approx(vals[0] + 0.4 * vals[1] + 2.0 * vals[2], abs=1e-9)
-        _, bumped = joint_loss(Tensor(vals[0] + 1), Tensor(vals[1]), Tensor(vals[2]), w)
+        _, bumped = joint_loss(Tensor(vals[0] + 1), Tensor(vals[1]), Tensor(vals[2]), *w)
         assert bumped.total - bd.total == pytest.approx(1.0, abs=1e-9)
 
     def test_breakdown_invariant(self, rng):
-        w = LossWeights(0.013, 0.7)
-        _, bd = joint_loss(Tensor(0.3), Tensor(1.1), Tensor(2.2), w)
-        assert bd.total == pytest.approx(bd.l_r + w.alpha * bd.l_s + w.beta * bd.l_c,
-                                         abs=1e-9)
+        alpha, beta = 0.013, 0.7
+        _, bd = joint_loss(Tensor(0.3), Tensor(1.1), Tensor(2.2), alpha, beta)
+        assert bd.total == pytest.approx(bd.l_r + alpha * bd.l_s + beta * bd.l_c, abs=1e-9)
 
     def test_all_disabled_rejected(self):
         with pytest.raises(ValueError, match="no loss terms"):
-            joint_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), LossWeights(), frozenset())
+            joint_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), 0.001, 1.0, frozenset())
 
     def test_non_finite_term_is_divergence(self):
         with pytest.raises(DivergenceError, match="l_r is not finite"):
-            joint_loss(Tensor(np.inf), None, None, LossWeights(), frozenset("r"))
+            joint_loss(Tensor(np.inf), None, None, 0.001, 1.0, frozenset("r"))
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(-0.1, 1.0)
+        # the one weight check of joint_loss and PruneConfig; NaN and inf fail it too
+        for alpha, beta in ((-0.1, 1.0), (0.001, -1.0), (np.nan, 1.0), (0.001, np.inf)):
+            named = f"must be finite and nonnegative, got alpha {alpha}, beta {beta}$"
+            with pytest.raises(ValueError, match=named):
+                joint_loss(Tensor(0.2), Tensor(3.0), Tensor(1.5), alpha, beta)
+            with pytest.raises(ValueError, match=named):
+                PruneConfig(rate=0.5, alpha=alpha, beta=beta)
 
     @pytest.mark.parametrize("alpha,beta", [(0.001, 1.0), (0.0, 0.0), (0.5, 1.5)])
     @pytest.mark.parametrize("losses", ["r", "s", "c", "rs", "rc", "sc", "rsc"])
@@ -210,7 +213,7 @@ class TestJointLoss:
         terms = [Tensor(v, requires_grad=True) for v in vals]
         coefs = dict(zip("rsc", (1.0, alpha, beta)))
         tape = Tape()
-        total, bd = joint_loss(*terms, LossWeights(alpha, beta), frozenset(losses), tape)
+        total, bd = joint_loss(*terms, alpha, beta, frozenset(losses), tape)
         assert len(tape.nodes) == 1
         expect = None
         for key, v in zip("rsc", vals):
@@ -227,7 +230,7 @@ class TestJointLoss:
         tape = Tape()
         total, bd = joint_loss(reconstruction_loss(fb, fp, tape),
                                correlation_loss(fb, fp, tape),
-                               None, LossWeights(0.5, 1.0), frozenset("rs"), tape)
+                               None, 0.5, 1.0, frozenset("rs"), tape)
         backward(total, tape)
         assert total.item() == bd.total
         assert fp.grad is not None and np.isfinite(fp.grad).all()

@@ -1,5 +1,5 @@
+import json
 import math
-from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 import prunekit as pk
 from prunekit import pruner
 from prunekit.data import DataError, Dataset
-from prunekit.losses import (LossBreakdown, LossWeights, correlation_loss, joint_loss,
+from prunekit.losses import (LossBreakdown, correlation_loss, joint_loss,
                              reconstruction_loss)
+from prunekit.metrics import CompressionStats
 from prunekit.network import (ChannelMask, Network, apply_mask, conv, dense_layer,
                               flatten_layer, forward, load, maxpool, relu_layer, save,
                               shrink_layer)
-from prunekit.pruner import (DivergenceError, PruneConfig, UntrainedBaselineError,
+from prunekit.pruner import (DivergenceError, PruneConfig, PruneReport, UntrainedBaselineError,
                              budget_for, channel_sensitivity, fine_tune,
                              frozen_activations, prune_model, refit_layer,
                              score_layer, select_channels, train_baseline)
 from prunekit.tensor import Tape, Tensor, backward, scatter_channels, softmax_cross_entropy
+from tests.conftest import prune_configs
 
 
 def small_cfg(**kw):
@@ -192,7 +194,7 @@ class TestRefitLayer:
         assert len(curve) == 3
         for bd in curve:
             assert bd.total == pytest.approx(
-                bd.l_r + cfg.weights.alpha * bd.l_s + cfg.weights.beta * bd.l_c,
+                bd.l_r + cfg.alpha * bd.l_s + cfg.beta * bd.l_c,
                 abs=1e-9)
 
 
@@ -236,16 +238,23 @@ class TestPruneModel:
         assert header == "epoch,l_r,l_s,l_c,total"
 
     def test_every_config_field_is_recorded(self, trained_tiny, tiny_dataset):
-        cfg = small_cfg(rate=0.4, weights=LossWeights(0.25, 0.75), eta=0.02,
+        cfg = small_cfg(rate=0.4, alpha=0.25, beta=0.75, eta=0.02,
                         finetune_epochs=1, enabled_losses="sr", seed=2)
         _, report = prune_model(trained_tiny, cfg, tiny_dataset)
-        assert report.config == {"rate": 0.4, "alpha": 0.25, "beta": 0.75, "eta": 0.02,
-                                 "selection_batches": 2, "refit_epochs": 1,
-                                 "finetune_epochs": 1, "losses": "rs", "seed": 2,
-                                 "batch_size": 16}
-        # a new PruneConfig field is recorded under its own name
-        assert ({f.name for f in fields(PruneConfig)} - {"weights", "enabled_losses"}
-                == set(report.config) - {"alpha", "beta", "losses"})
+        assert report.config == cfg
+        assert json.loads(report.to_json())["config"] == {
+            "rate": 0.4, "alpha": 0.25, "beta": 0.75, "eta": 0.02, "selection_batches": 2,
+            "refit_epochs": 1, "finetune_epochs": 1, "losses": "rs", "seed": 2,
+            "batch_size": 16}
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(prune_configs())
+    def test_report_config_rebuilds_the_config(self, cfg):
+        report = PruneReport(cfg, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
+                             CompressionStats(1, 1, 1, 1), [])
+        config = json.loads(report.to_json())["config"]
+        config["enabled_losses"] = config.pop("losses")
+        assert PruneConfig(**config) == cfg
 
     def test_rate_validation(self):
         with pytest.raises(ValueError, match="rate"):
@@ -275,12 +284,12 @@ class TestPruneModel:
     def test_all_zero_weight_loss_set_rejected(self, losses, alpha, beta, named):
         # each once gave all-zero sensitivities, so every layer kept channels 0..K-1
         with pytest.raises(ValueError, match=f"every enabled loss term has zero weight: {named}$"):
-            PruneConfig(rate=0.5, enabled_losses=losses, weights=LossWeights(alpha, beta))
+            PruneConfig(rate=0.5, enabled_losses=losses, alpha=alpha, beta=beta)
 
     @pytest.mark.parametrize("losses,alpha,beta", [("r", 0.0, 0.0), ("rs", 0.0, 1.0),
                                                    ("sc", 0.0, 1.0), ("sc", 0.5, 0.0)])
     def test_a_weighted_term_is_enough(self, losses, alpha, beta):
-        cfg = PruneConfig(rate=0.5, enabled_losses=losses, weights=LossWeights(alpha, beta))
+        cfg = PruneConfig(rate=0.5, enabled_losses=losses, alpha=alpha, beta=beta)
         assert cfg.enabled_losses == frozenset(losses)
 
     def test_overflowing_refit_is_divergence(self, trained_tiny, tiny_dataset):
@@ -292,6 +301,16 @@ class TestPruneModel:
         # 0 once failed in range(), -3 in np.concatenate, both deep in the sweep
         with pytest.raises(ValueError, match="batch_size"):
             PruneConfig(rate=0.5, batch_size=batch_size)
+
+    @pytest.mark.parametrize("name,value", [
+        ("seed", -1), ("seed", 1.0), ("batch_size", 2.5), ("selection_batches", 1.5),
+        ("selection_batches", 0), ("refit_epochs", 1.5), ("refit_epochs", -1),
+        ("finetune_epochs", 0.5), ("finetune_epochs", -2)])
+    def test_bad_count_rejected_at_construction(self, name, value):
+        # a negative seed once failed in numpy after the runs before it had
+        # been yielded, and a float count with a TypeError inside the sweep
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got {value}$"):
+            PruneConfig(rate=0.5, **{name: value})
 
 
 class TestFirstConvLayerScore:
@@ -315,7 +334,7 @@ class TestFirstConvLayerScore:
                                              ("sc", 0.0), ("rsc", 0.0)])
     def test_without_weighted_c_scores_zeros_from_the_same_draws(
             self, trained_tiny, tiny_dataset, losses, beta):
-        cfg = small_cfg(enabled_losses=losses, weights=LossWeights(0.5, beta))
+        cfg = small_cfg(enabled_losses=losses, alpha=0.5, beta=beta)
         acts = frozen_activations(trained_tiny, trained_tiny, 0, cfg, tiny_dataset)
         rngs = [np.random.default_rng(0), np.random.default_rng(0)]
         delta = pruner._score_on_baseline_prefix(trained_tiny.copy(), 0, cfg, acts, rngs[0])
@@ -470,7 +489,7 @@ def _reference_prune(net_base, cfg, dataset):
         total, bd = joint_loss(reconstruction_loss(f_base, f_cmp, tape) if "r" in on else None,
                                correlation_loss(f_base, f_cmp, tape) if "s" in on else None,
                                softmax_cross_entropy(logits, yb, tape) if "c" in on else None,
-                               cfg.weights, on, tape)
+                               cfg.alpha, cfg.beta, on, tape)
         backward(total, tape)
         return bd
 
@@ -641,6 +660,12 @@ class TestShrunkSweep:
 
 
 class TestFineTune:
+    @pytest.mark.parametrize("epochs", [-2, 1.5])
+    def test_bad_epochs_rejected(self, trained_tiny, tiny_dataset, epochs):
+        # -2 once returned [] and 1.5 raised TypeError from range
+        with pytest.raises(ValueError, match=f"^epochs must be an integer >= 0, got {epochs}$"):
+            fine_tune(trained_tiny.copy(), tiny_dataset, epochs)
+
     def test_zero_epochs_leaves_network_unchanged(self, trained_tiny, tiny_dataset):
         net = trained_tiny.copy()
         before = {n: t.data.tobytes() for _, n, t in net.parameters()}
@@ -727,7 +752,7 @@ class TestLayerLocalGradients:
             total, _ = joint_loss(reconstruction_loss(f_base, f_pruned, tape),
                                   correlation_loss(f_base, f_pruned, tape),
                                   softmax_cross_entropy(logits, yb, tape),
-                                  cfg.weights, cfg.enabled_losses, tape)
+                                  cfg.alpha, cfg.beta, cfg.enabled_losses, tape)
             backward(total, tape)
         expect = ref.params[layer]["w"].grad / cfg.selection_batches
         assert len(seen) == 1 and np.array_equal(seen[0], expect)
@@ -753,7 +778,7 @@ class TestLayerLocalGradients:
                 total, _ = joint_loss(reconstruction_loss(f_base, f_pruned, tape),
                                       correlation_loss(f_base, f_pruned, tape),
                                       softmax_cross_entropy(logits, yb, tape),
-                                      cfg.weights, cfg.enabled_losses, tape)
+                                      cfg.alpha, cfg.beta, cfg.enabled_losses, tape)
                 backward(total, tape)
                 for t in ref.params[2].values():
                     t.data -= cfg.eta * t.grad

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from prunekit.losses import (LOSS_KEYS, LossWeights, correlation_loss, grams, joint_loss,
+from prunekit.losses import (LOSS_KEYS, correlation_loss, grams, joint_loss,
                              reconstruction_loss)
 from prunekit.tensor import (ShapeError, Tape, TapeError, Tensor, backward,
                              conv2d, dense, flatten, max_pool2d, relu, scatter_channels,
@@ -427,7 +427,7 @@ NEED_DRIVEN_CASES = {
     "scatter_channels": ([(2, 2, 3, 3)],
                          lambda t, tape: scatter_channels(t[0], [3, 0], 4, tape)),
     "joint_loss": ([(), (), ()],
-                   lambda t, tape: joint_loss(*t, LossWeights(0.5, 1.5), LOSS_KEYS, tape)[0]),
+                   lambda t, tape: joint_loss(*t, 0.5, 1.5, LOSS_KEYS, tape)[0]),
 }
 
 

@@ -5,8 +5,9 @@
 Trains a tiny 8x8 net and the 12x12 reference net, then prunes each under all
 seven loss sets at finetune_epochs 0 and 1. Each output (train log, model
 file, report.json, loss-curve CSV) gets one ``sha256  name`` line, and a
-``library manifest`` line hashes those lines. Then the CLI runs train, prune,
-ablation, rate-sweep, report and eval on 8x8 data; every file they write and
+``library manifest`` line hashes those lines. Then the CLI runs train, prune
+(once with the default alpha, beta and eta, once with others), ablation,
+rate-sweep, report and eval on 8x8 data; every file they write and
 each command's stdout (with the temporary directory replaced by a fixed name)
 get one line each. The masked path, which the sweep never takes, follows on
 the 12x12 reference net: the logits of a few seeded random mask patterns (as
@@ -58,25 +59,27 @@ def run_cli(tmp, digest) -> None:
     stdout and every file written."""
     root = Path(tmp, "cli")
     model, prune_out = str(root / "base.prnk"), root / "prune"
-    runs = [
-        ["train", "--model", model, "--epochs", "3", "--batch-size", "16", *CLI_DATA],
-        ["prune", "--model", model, "--out", str(prune_out), "--finetune-epochs", "1",
-         *CLI_PRUNE],
-        ["ablation", "--model", model, "--out", str(root / "ablation"), "--seeds", "2",
-         *CLI_PRUNE],
-        ["rate-sweep", "--model", model, "--out", str(root / "rate_sweep"),
-         "--rates", "0.3,0.6", *CLI_PRUNE],
-        ["report", "--report", str(prune_out / "report.json")],
-        ["eval", "--model", str(prune_out / "pruned.prnk"), *CLI_DATA],
-    ]
+    runs = {  # stdout name -> argv
+        "train": ["train", "--model", model, "--epochs", "3", "--batch-size", "16", *CLI_DATA],
+        "prune": ["prune", "--model", model, "--out", str(prune_out), "--finetune-epochs", "1",
+                  *CLI_PRUNE],
+        "ablation": ["ablation", "--model", model, "--out", str(root / "ablation"),
+                     "--seeds", "2", *CLI_PRUNE],
+        "rate-sweep": ["rate-sweep", "--model", model, "--out", str(root / "rate_sweep"),
+                       "--rates", "0.3,0.6", *CLI_PRUNE],
+        "report": ["report", "--report", str(prune_out / "report.json")],
+        "eval": ["eval", "--model", str(prune_out / "pruned.prnk"), *CLI_DATA],
+        "prune_weights": ["prune", "--model", model, "--out", str(root / "prune_weights"),
+                          "--alpha", "0.01", "--beta", "0.5", "--eta", "0.02", *CLI_PRUNE],
+    }
     root.mkdir()
-    for argv in runs:
+    for name, argv in runs.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli_main(argv)
         if rc != 0:
-            sys.exit(f"prunekit {argv[0]} exited {rc}")
-        digest(f"cli/{argv[0]}.stdout", stdout.getvalue().replace(tmp, "TMP").encode())
+            sys.exit(f"prunekit {name} exited {rc}")
+        digest(f"cli/{name}.stdout", stdout.getvalue().replace(tmp, "TMP").encode())
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digest(str(path.relative_to(tmp)), path.read_bytes())
 
